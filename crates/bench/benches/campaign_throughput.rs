@@ -1,5 +1,5 @@
 //! Criterion bench for the campaign engine itself: attacks per second
-//! through the serial path and the scoped-thread pool, on one
+//! at 1 (inline) to 8 threads of the persistent worker pool, on one
 //! representative workload. This is the microbenchmark behind the
 //! `results/bench_campaign.json` numbers `exp_all` emits.
 

@@ -252,10 +252,10 @@ fn scaling_sweep(attacks: u32, default_threads: usize, quick: bool) -> Vec<Scali
     rows
 }
 
-/// The telemetry zero-cost claim, measured: attacks/sec of the serial
-/// engine as a bare loop (the pre-telemetry shape: runner + RNG + fold,
-/// no sink anywhere in sight) vs the instrumented engine carrying a
-/// [`NULL_SINK`]. Best-of-`reps` to shed scheduler noise.
+/// The telemetry zero-cost claim, measured: attacks/sec of a bare serial
+/// loop (the pre-telemetry shape: runner + RNG + fold, no sink anywhere in
+/// sight) vs the campaign engine at one thread carrying a [`NULL_SINK`].
+/// Best-of-`reps` to shed scheduler noise.
 struct Overhead {
     bare_aps: f64,
     instrumented_aps: f64,
@@ -280,9 +280,9 @@ fn null_sink_overhead(attacks: u32, reps: u32) -> Overhead {
     let mut instr_best = f64::INFINITY;
     for _ in 0..reps {
         // Bare loop: the engine shape with no sink anywhere — including
-        // the golden-snapshot capture the instrumented engine performs
-        // per call, so the probe isolates telemetry cost rather than the
-        // warm-start win (docs/PERF.md describes both).
+        // the golden-snapshot capture the engine performs per call, so the
+        // probe isolates telemetry cost rather than the warm-start win
+        // (docs/PERF.md describes both).
         let start = Instant::now();
         let warm = ipds_sim::WarmStart::capture(
             &art.protected.program,
@@ -308,15 +308,17 @@ fn null_sink_overhead(attacks: u32, reps: u32) -> Overhead {
         let bare_result = aggregate(attacks, &outcomes);
         bare_best = bare_best.min(start.elapsed().as_secs_f64());
 
-        // Instrumented engine, NullSink: must compile down to the same.
+        // The engine with a NullSink: must compile down to the same.
         let start = Instant::now();
-        let (instr_result, _) = ipds_sim::attack::run_campaign_instrumented(
+        let (instr_result, _) = ipds_sim::run_campaign(
             &art.protected.program,
             &art.protected.analysis,
             &art.inputs,
             &art.golden,
             &campaign,
+            1,
             &NULL_SINK,
+            None,
         );
         instr_best = instr_best.min(start.elapsed().as_secs_f64());
         assert_eq!(

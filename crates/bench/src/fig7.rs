@@ -27,9 +27,9 @@ pub struct Fig7Row {
 /// Runs the Fig. 7 experiment.
 ///
 /// `attacks` is per workload (paper: 100); `seed` controls the campaign,
-/// `input_seed` the benign traffic. Uses every available core — the
-/// parallel engine is bit-identical to the serial one, so the figure does
-/// not depend on the thread count.
+/// `input_seed` the benign traffic. Uses every available core — campaign
+/// results are bit-identical at every thread count, so the figure does not
+/// depend on it.
 pub fn run(attacks: u32, seed: u64, input_seed: u64) -> Vec<Fig7Row> {
     run_threaded(attacks, seed, input_seed, None, ipds_sim::default_threads())
 }

@@ -199,10 +199,15 @@ fn construct_function(
 
     // Maximal phi placement: one phi per promoted variable at every join.
     // Duplicate predecessor edges (a branch with both arms on one target)
-    // collapse to a single phi argument.
-    let mut phi_at: Vec<Vec<Option<PhiBuild>>> = (0..nblocks)
-        .map(|b| {
-            let preds: BTreeSet<BlockId> = cfg.preds(BlockId(b as u32)).iter().copied().collect();
+    // collapse to one predecessor: one phi argument, and a block whose only
+    // predecessor branches to it twice is a single-predecessor block.
+    let unique_preds: Vec<BTreeSet<BlockId>> = (0..nblocks)
+        .map(|b| cfg.preds(BlockId(b as u32)).iter().copied().collect())
+        .collect();
+    let mut phi_at: Vec<Vec<Option<PhiBuild>>> = unique_preds
+        .iter()
+        .enumerate()
+        .map(|(b, preds)| {
             (0..selected.len())
                 .map(|slot| {
                     (preds.len() >= 2 && BlockId(b as u32) != func.entry).then(|| PhiBuild {
@@ -236,7 +241,7 @@ fn construct_function(
 
     let mut subst: HashMap<Reg, Operand> = HashMap::new();
     for &b in &order {
-        let preds = cfg.preds(b);
+        let preds = &unique_preds[b.index()];
         let entry_env: Vec<Operand> = if b == func.entry {
             initial.clone()
         } else if phi_at[b.index()].iter().any(Option::is_some) {
@@ -245,7 +250,8 @@ fn construct_function(
                 .map(|p| Operand::Reg(p.as_ref().expect("join block has all phis").dst))
                 .collect()
         } else if preds.len() == 1 && cfg.is_reachable(b) {
-            exit_env[preds[0].index()]
+            let pred = preds.first().expect("one predecessor");
+            exit_env[pred.index()]
                 .clone()
                 .unwrap_or_else(|| initial.clone())
         } else {
@@ -304,8 +310,7 @@ fn construct_function(
     }
 
     // Fill phi arguments from predecessor exit environments.
-    for (b, row) in phi_at.iter_mut().enumerate() {
-        let preds: BTreeSet<BlockId> = cfg.preds(BlockId(b as u32)).iter().copied().collect();
+    for (row, preds) in phi_at.iter_mut().zip(&unique_preds) {
         for p in row.iter_mut().flatten() {
             p.args = preds
                 .iter()

@@ -48,6 +48,53 @@ fn unreachable_blocks_with_promoted_uses_verify() {
 }
 
 #[test]
+fn degenerate_branches_carry_reaching_values_down_a_chain() {
+    // entry: x = 7; branch (both arms) -> mid
+    // mid:   y = 9; branch (both arms) -> exit
+    // exit:  return x + y
+    // Each target has one predecessor reached over two edges: no phi, and
+    // the predecessor's values must flow in rather than the zero initial
+    // values.
+    let mut b = FunctionBuilder::new("f", 0, true);
+    let x = b.add_scalar("x");
+    let y = b.add_scalar("y");
+    let mid = b.add_block();
+    let exit = b.add_block();
+
+    b.store_var(x, Operand::Imm(7));
+    let v = b.load_var(x);
+    let c0 = b.cmp(Pred::Lt, v.into(), Operand::Imm(5));
+    b.branch(c0, mid, mid);
+
+    b.switch_to(mid);
+    b.store_var(y, Operand::Imm(9));
+    let w = b.load_var(y);
+    let c1 = b.cmp(Pred::Gt, w.into(), Operand::Imm(5));
+    b.branch(c1, exit, exit);
+
+    b.switch_to(exit);
+    let xv = b.load_var(x);
+    let yv = b.load_var(y);
+    let sum = b.binop(BinOp::Add, xv.into(), yv.into());
+    b.ret(Some(sum.into()));
+
+    let program = promote_all_and_check(assemble(Vec::new(), vec![b.finish()]).unwrap());
+    let exit_block = &program.functions[0].blocks[exit.index()];
+    assert!(
+        exit_block.insts.iter().any(|i| matches!(
+            i,
+            Inst::BinOp {
+                op: BinOp::Add,
+                lhs: Operand::Imm(7),
+                rhs: Operand::Imm(9),
+                ..
+            }
+        )),
+        "reaching values lost across degenerate branches: {exit_block:?}"
+    );
+}
+
+#[test]
 fn self_loop_carries_a_phi_that_references_itself() {
     // header: x = x - 1; if (x > 0) goto header else exit
     let mut b = FunctionBuilder::new("f", 0, true);

@@ -329,8 +329,8 @@ pub fn golden_run(
 
 /// Reusable attack executor: one interpreter arena, one checker, one trace
 /// buffer, recycled across every attack it runs (§6's 100-attack protocol
-/// allocates its scratch once instead of per attack). Each worker thread of
-/// the parallel engine owns one `AttackRunner`; the borrowed program,
+/// allocates its scratch once instead of per attack). Each worker of
+/// [`run_campaign`] owns one `AttackRunner`; the borrowed program,
 /// analysis and golden trace are shared by all of them.
 #[derive(Debug)]
 pub struct AttackRunner<'a, S: EventSink = NullSink> {
@@ -614,8 +614,8 @@ pub fn attack_seed(campaign: &Campaign, i: u32) -> u64 {
 }
 
 /// Derives attack `i`'s RNG stream and trigger step: the per-attack seeding
-/// protocol, shared verbatim by the serial and parallel engines so their
-/// results are bit-identical.
+/// protocol. It depends on the index alone, so any worker can run any
+/// attack and results are bit-identical at every thread count.
 pub fn attack_rng(campaign: &Campaign, golden_steps: u64, i: u32) -> (StdRng, u64) {
     let mut rng = StdRng::seed_from_u64(attack_seed(campaign, i));
     // Trigger anywhere in the first 95% of the run so the attack has room
@@ -626,9 +626,8 @@ pub fn attack_rng(campaign: &Campaign, golden_steps: u64, i: u32) -> (StdRng, u6
 }
 
 /// Reports one completed attack to the sink and the worker-local metrics
-/// registry. Both engines call this per attack, so the folded telemetry is
-/// identical whichever engine ran.
-pub(crate) fn record_attack<S: EventSink>(
+/// registry.
+fn record_attack<S: EventSink>(
     sink: &S,
     metrics: &mut MetricsRegistry,
     campaign: &Campaign,
@@ -662,7 +661,7 @@ pub(crate) fn record_attack<S: EventSink>(
 }
 
 /// Folds per-attack outcomes (in seed order) into a [`CampaignResult`].
-/// Both engines aggregate through this one function — same fold, same
+/// The fold runs in seed order whatever the thread count — same
 /// floating-point association order, bit-identical means.
 pub fn aggregate(attacks: u32, outcomes: &[AttackOutcome]) -> CampaignResult {
     let mut result = CampaignResult {
@@ -689,70 +688,39 @@ pub fn aggregate(attacks: u32, outcomes: &[AttackOutcome]) -> CampaignResult {
     result
 }
 
-/// Runs a full campaign against one program with the given input script.
-pub fn run_campaign(
-    program: &Program,
-    analysis: &ProgramAnalysis,
-    inputs: &[Input],
-    campaign: &Campaign,
-) -> CampaignResult {
-    let golden = GoldenRun::capture(program, inputs, campaign.limits);
-    run_campaign_with_golden(program, analysis, inputs, &golden, campaign)
-}
-
-/// Runs a full campaign against a precomputed golden run (the artifact the
-/// benchmark layer caches per (program, input script)).
+/// Runs a seeded attack campaign (the Fig. 7 protocol) against a
+/// precomputed golden run, sharded over `threads` workers of the persistent
+/// pool (`0`/`1` runs inline on the caller's thread).
+///
+/// Every checked branch goes to `sink`, which all workers share; the
+/// per-attack metrics (counters plus the step-count and detection-lag
+/// histograms) come back in the merged [`MetricsRegistry`]. With
+/// [`NullSink`] the event path compiles away.
+///
+/// `warm` reuses a precomputed [`WarmStart`], so a caller running many
+/// campaigns against the same artifacts (the scaling sweep, the ablation
+/// grid) captures the golden snapshots once; `None` captures on demand.
+/// Either way detail sinks and single-attack campaigns run cold, so results
+/// are the same with and without a precomputed warm start.
+///
+/// The [`CampaignResult`] (including the `f64` lag mean), the registry and
+/// any [`CountingSink`](ipds_telemetry::CountingSink) snapshot are
+/// bit-identical for every thread count, except the pool's chunk-accounting
+/// counters (`pool.chunks_claimed`, `pool.chunks_stolen`; see
+/// `docs/PERF.md`).
 ///
 /// # Panics
 ///
-/// Panics if the golden run faulted — benign traffic must be fault-free.
-pub fn run_campaign_with_golden(
+/// Panics if the golden run faulted — benign traffic must be fault-free —
+/// or if a worker panics.
+#[allow(clippy::too_many_arguments)]
+pub fn run_campaign<S: EventSink>(
     program: &Program,
     analysis: &ProgramAnalysis,
     inputs: &[Input],
     golden: &GoldenRun,
     campaign: &Campaign,
-) -> CampaignResult {
-    run_campaign_instrumented(program, analysis, inputs, golden, campaign, &NULL_SINK).0
-}
-
-/// The serial campaign engine with telemetry attached: every checked branch
-/// goes to `sink` and the per-attack metrics (counters plus the step-count
-/// histogram) come back in a [`MetricsRegistry`]. With [`NullSink`] the
-/// event path compiles away and the result is identical to
-/// [`run_campaign_with_golden`].
-///
-/// # Panics
-///
-/// Panics if the golden run faulted — benign traffic must be fault-free.
-pub fn run_campaign_instrumented<S: EventSink>(
-    program: &Program,
-    analysis: &ProgramAnalysis,
-    inputs: &[Input],
-    golden: &GoldenRun,
-    campaign: &Campaign,
-    sink: &S,
-) -> (CampaignResult, MetricsRegistry) {
-    run_campaign_instrumented_warm(program, analysis, inputs, golden, campaign, sink, None)
-}
-
-/// [`run_campaign_instrumented`] over a precomputed [`WarmStart`], so a
-/// driver running many campaigns against the same artifacts (the scaling
-/// sweep, the ablation grid) captures the golden snapshots once instead of
-/// once per campaign. `warm.is_none()` captures on demand exactly as
-/// before; either way the warm path is subject to the same gating (detail
-/// sinks and single-attack campaigns run cold), so results stay
-/// bit-identical with and without a precomputed warm start.
-///
-/// # Panics
-///
-/// Panics if the golden run faulted — benign traffic must be fault-free.
-pub fn run_campaign_instrumented_warm<S: EventSink>(
-    program: &Program,
-    analysis: &ProgramAnalysis,
-    inputs: &[Input],
-    golden: &GoldenRun,
-    campaign: &Campaign,
+    threads: usize,
     sink: &S,
     warm: Option<&WarmStart>,
 ) -> (CampaignResult, MetricsRegistry) {
@@ -761,9 +729,10 @@ pub fn run_campaign_instrumented_warm<S: EventSink>(
         "golden run must not fault: {:?}",
         golden.status
     );
-    // One golden-snapshot set amortized over the whole campaign — skipped
-    // for detail sinks (which need every prefix branch record) and for
-    // single-attack campaigns (capture costs about one clean run).
+    // One golden-snapshot set amortized over the whole campaign and shared
+    // by every worker — skipped for detail sinks (which need every prefix
+    // branch record) and for single-attack campaigns (capture costs about
+    // one clean run).
     let use_warm = !sink.wants_branch_stream() && campaign.attacks > 1;
     let owned = (use_warm && warm.is_none())
         .then(|| WarmStart::capture(program, analysis, inputs, golden.steps, campaign.limits));
@@ -772,35 +741,38 @@ pub fn run_campaign_instrumented_warm<S: EventSink>(
     } else {
         None
     };
-    let mut runner = AttackRunner::with_sink(
-        program,
-        analysis,
-        inputs,
-        &golden.trace,
-        campaign.limits,
-        sink,
+    let (outcomes, runners, mut metrics) = crate::shard(
+        campaign.attacks,
+        threads,
+        || {
+            let runner = AttackRunner::with_sink(
+                program,
+                analysis,
+                inputs,
+                &golden.trace,
+                campaign.limits,
+                sink,
+            );
+            match warm {
+                Some(warm) => runner.with_warm_start(warm),
+                None => runner,
+            }
+        },
+        |runner, metrics, i| {
+            let (mut rng, trigger) = attack_rng(campaign, golden.steps, i);
+            let outcome = runner.run(trigger, campaign.model, &mut rng);
+            record_attack(sink, metrics, campaign, i, trigger, &outcome);
+            outcome
+        },
     );
-    if let Some(warm) = warm {
-        runner = runner.with_warm_start(warm);
-    }
-    let mut metrics = MetricsRegistry::new();
-    let mut outcomes = Vec::with_capacity(campaign.attacks as usize);
-    for i in 0..campaign.attacks {
-        let (mut rng, trigger) = attack_rng(campaign, golden.steps, i);
-        let outcome = runner.run(trigger, campaign.model, &mut rng);
-        record_attack(sink, &mut metrics, campaign, i, trigger, &outcome);
-        outcomes.push(outcome);
-    }
-    // Mirror the worker pool's degenerate single-worker accounting (one
-    // worker, one chunk, nothing stolen) so the deterministic telemetry
-    // keys match the threaded engine bit for bit.
-    metrics.add("pool.tasks_executed", u64::from(campaign.attacks));
-    metrics.add("pool.chunks_claimed", u64::from(campaign.attacks > 0));
-    metrics.add("pool.chunks_stolen", 0);
-    metrics.add(
-        "checker.bsv_pool_high_water",
-        runner.bsv_pool_high_water() as u64,
-    );
+    // A max over per-worker maxima is the whole-campaign max, so the BSV
+    // pool high water is thread-count independent too.
+    let high_water = runners
+        .iter()
+        .map(AttackRunner::bsv_pool_high_water)
+        .max()
+        .unwrap_or(0);
+    metrics.add("checker.bsv_pool_high_water", high_water as u64);
     (aggregate(campaign.attacks, &outcomes), metrics)
 }
 
@@ -819,10 +791,65 @@ mod tests {
         if (user == 1) { print_int(200); } else { print_int(300); } \
         return 0; }";
 
+    /// A longer victim: the correlated checks repeat in a loop.
+    const LOOP_VICTIM: &str = "fn main() -> int { int user; int req; int i; \
+        user = read_int(); \
+        for (i = 0; i < 6; i = i + 1) { \
+          if (user == 1) { print_int(100); } \
+          req = read_int(); \
+          print_int(req); \
+          if (user == 1) { print_int(200); } else { print_int(300); } \
+        } return 0; }";
+
     fn setup(src: &str) -> (Program, ProgramAnalysis) {
         let p = ipds_ir::parse(src).unwrap();
         let a = analyze_program(&p, &AnalysisConfig::default());
         (p, a)
+    }
+
+    /// A serial campaign over a freshly captured golden run.
+    fn campaign(
+        p: &Program,
+        a: &ProgramAnalysis,
+        inputs: &[Input],
+        c: &Campaign,
+    ) -> CampaignResult {
+        let golden = GoldenRun::capture(p, inputs, c.limits);
+        run_campaign(p, a, inputs, &golden, c, 1, &NULL_SINK, None).0
+    }
+
+    /// The campaign folded by a plain loop over one runner, with no pool in
+    /// between: the reference the sharded engine must reproduce. Like the
+    /// engine it fast-forwards from a warm start unless there is only one
+    /// attack: warm and cold runners report different BSV-pool high
+    /// waters.
+    fn reference(
+        p: &Program,
+        a: &ProgramAnalysis,
+        inputs: &[Input],
+        golden: &GoldenRun,
+        c: &Campaign,
+    ) -> (CampaignResult, MetricsRegistry) {
+        let warm = WarmStart::capture(p, a, inputs, golden.steps, c.limits);
+        let mut runner = AttackRunner::new(p, a, inputs, &golden.trace, c.limits);
+        if c.attacks > 1 {
+            runner = runner.with_warm_start(&warm);
+        }
+        let mut metrics = MetricsRegistry::new();
+        let outcomes: Vec<AttackOutcome> = (0..c.attacks)
+            .map(|i| {
+                let (mut rng, trigger) = attack_rng(c, golden.steps, i);
+                let outcome = runner.run(trigger, c.model, &mut rng);
+                record_attack(&NULL_SINK, &mut metrics, c, i, trigger, &outcome);
+                outcome
+            })
+            .collect();
+        metrics.add("pool.tasks_executed", u64::from(c.attacks));
+        metrics.add(
+            "checker.bsv_pool_high_water",
+            runner.bsv_pool_high_water() as u64,
+        );
+        (aggregate(c.attacks, &outcomes), metrics)
     }
 
     #[test]
@@ -885,7 +912,7 @@ mod tests {
             model: AttackModel::FormatString,
             limits: ExecLimits::default(),
         };
-        let r = run_campaign(&p, &a, &inputs, &c);
+        let r = campaign(&p, &a, &inputs, &c);
         assert_eq!(r.attacks, 50);
         assert!(r.detected <= r.cf_changed, "detected ⊆ cf-changed: {r:?}");
         assert!(r.cf_changed <= r.attacks);
@@ -930,6 +957,57 @@ mod tests {
     }
 
     #[test]
+    fn engine_matches_the_serial_reference_at_every_thread_count() {
+        let (p, a) = setup(LOOP_VICTIM);
+        let inputs: Vec<Input> = (0..7).map(|i| Input::Int(i % 3)).collect();
+        let limits = ExecLimits::default();
+        let golden = GoldenRun::capture(&p, &inputs, limits);
+        for model in [
+            AttackModel::FormatString,
+            AttackModel::BufferOverflow,
+            AttackModel::ContiguousOverflow,
+        ] {
+            // 40 attacks spread over several workers; 3 leave most of the
+            // requested threads idle.
+            for attacks in [40, 3] {
+                let c = Campaign {
+                    attacks,
+                    seed: 99,
+                    model,
+                    limits,
+                };
+                let (want, want_metrics) = reference(&p, &a, &inputs, &golden, &c);
+                for threads in [0, 1, 2, 3, 4, 7] {
+                    let (got, got_metrics) =
+                        run_campaign(&p, &a, &inputs, &golden, &c, threads, &NULL_SINK, None);
+                    let at = format!("{model:?} x{attacks} at {threads} threads");
+                    assert_eq!(want, got, "{at}");
+                    assert_eq!(
+                        want.mean_lag_branches.to_bits(),
+                        got.mean_lag_branches.to_bits(),
+                        "{at}: lag mean must be bit-identical"
+                    );
+                    // Chunk accounting describes the scheduler, not the
+                    // computation; everything else must merge identically.
+                    let stable = |m: &MetricsRegistry| -> Vec<_> {
+                        m.counters()
+                            .filter(|(k, _)| {
+                                *k != "pool.chunks_claimed" && *k != "pool.chunks_stolen"
+                            })
+                            .collect()
+                    };
+                    assert_eq!(stable(&want_metrics), stable(&got_metrics), "{at}");
+                    assert_eq!(
+                        want_metrics.histograms().collect::<Vec<_>>(),
+                        got_metrics.histograms().collect::<Vec<_>>(),
+                        "{at}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn warm_snapshots_cover_every_trigger() {
         // Trigger steps right on, before and after snapshot boundaries all
         // restore a snapshot at-or-before the trigger.
@@ -954,8 +1032,8 @@ mod tests {
             model: AttackModel::BufferOverflow,
             limits: ExecLimits::default(),
         };
-        let r1 = run_campaign(&p, &a, &inputs, &c);
-        let r2 = run_campaign(&p, &a, &inputs, &c);
+        let r1 = campaign(&p, &a, &inputs, &c);
+        let r2 = campaign(&p, &a, &inputs, &c);
         assert_eq!(r1, r2);
     }
 
@@ -975,8 +1053,8 @@ mod tests {
             model,
             limits: ExecLimits::default(),
         };
-        let fs = run_campaign(&p, &a, &inputs, &mk(AttackModel::FormatString));
-        let bo = run_campaign(&p, &a, &inputs, &mk(AttackModel::BufferOverflow));
+        let fs = campaign(&p, &a, &inputs, &mk(AttackModel::FormatString));
+        let bo = campaign(&p, &a, &inputs, &mk(AttackModel::BufferOverflow));
         assert!(
             fs.detected >= bo.detected,
             "format-string reaches the global, overflow does not: {fs:?} vs {bo:?}"

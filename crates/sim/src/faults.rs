@@ -236,8 +236,8 @@ impl FaultCampaignResult {
 }
 
 /// The derived RNG seed of fault `i` — the same xor-splitmix stream
-/// protocol the attack engine uses, so serial and parallel campaigns are
-/// bit-identical.
+/// protocol the attack engine uses, so campaigns are bit-identical at every
+/// thread count.
 pub fn fault_seed(campaign: &FaultCampaign, i: u32) -> u64 {
     campaign.seed ^ (0x9e37_79b9_7f4a_7c15u64.wrapping_mul(i as u64 + 1))
 }
@@ -311,9 +311,9 @@ fn trigger_in_run(rng: &mut StdRng, golden_steps: u64) -> u64 {
 }
 
 /// Reusable fault executor: one interpreter arena plus one checker, recycled
-/// across every live-state fault it runs. Each worker thread of the parallel
-/// engine owns one `FaultRunner`; the borrowed program, analysis, image and
-/// inputs are shared by all of them.
+/// across every live-state fault it runs. Each worker of
+/// [`run_fault_campaign`] owns one `FaultRunner`; the borrowed program,
+/// analysis, image and inputs are shared by all of them.
 #[derive(Debug)]
 pub struct FaultRunner<'a> {
     analysis: &'a ProgramAnalysis,
@@ -535,8 +535,7 @@ fn register_fault_counters(metrics: &mut MetricsRegistry) {
     }
 }
 
-/// Folds one fault's outcome into the worker-local metrics. Both engines
-/// record through this function, so merged telemetry is engine-independent.
+/// Folds one fault's outcome into the worker-local metrics.
 fn record_fault(
     metrics: &mut MetricsRegistry,
     campaign: &FaultCampaign,
@@ -572,8 +571,8 @@ fn record_fault(
 }
 
 /// Folds per-fault outcomes (in index order) into a
-/// [`FaultCampaignResult`]. Shared by both engines — same fold, same
-/// latency order.
+/// [`FaultCampaignResult`] — the same fold and latency order at every
+/// thread count.
 pub fn aggregate_faults(
     campaign: &FaultCampaign,
     outcomes: &[FaultOutcome],
@@ -615,92 +614,45 @@ pub fn aggregate_faults(
     result
 }
 
-/// Runs a fault campaign serially.
+/// Runs a fault campaign against a precomputed golden run, sharded over
+/// `threads` workers of the persistent pool (`0`/`1` runs inline on the
+/// caller's thread). Results — including the latency vector and the merged
+/// metrics — are bit-identical for every thread count: faults are
+/// independently seeded and outcomes fold in index order. The one exception
+/// is the pool's chunk-accounting telemetry (`pool.chunks_claimed`,
+/// `pool.chunks_stolen`), which describes how the scheduler carved the
+/// index space and varies with thread count and timing (see
+/// `docs/PERF.md`).
 ///
 /// # Panics
 ///
-/// Panics if the golden (clean) run faults — benign traffic must be
-/// fault-free.
+/// Panics if the golden (clean) run faulted — benign traffic must be
+/// fault-free — or if a worker panics.
 pub fn run_fault_campaign(
     program: &Program,
     analysis: &ProgramAnalysis,
     image: &TableImage,
     inputs: &[Input],
-    campaign: &FaultCampaign,
-) -> (FaultCampaignResult, MetricsRegistry) {
-    run_fault_campaign_threaded(program, analysis, image, inputs, campaign, 1)
-}
-
-/// Runs a fault campaign across `threads` workers (`0`/`1` = serial, zero
-/// spawned threads). Results — including the latency vector and the merged
-/// metrics — are bit-identical for every thread count: faults are
-/// independently seeded, outcomes merge in index order, and the fold is
-/// shared with the serial path. The one exception is the pool's
-/// chunk-accounting telemetry (`pool.chunks_claimed`, `pool.chunks_stolen`),
-/// which describes how the scheduler carved the index space and varies with
-/// thread count and timing (see `docs/PERF.md`).
-///
-/// # Panics
-///
-/// Panics if the golden (clean) run faults, or if a worker thread panics.
-pub fn run_fault_campaign_threaded(
-    program: &Program,
-    analysis: &ProgramAnalysis,
-    image: &TableImage,
-    inputs: &[Input],
+    golden: &GoldenRun,
     campaign: &FaultCampaign,
     threads: usize,
 ) -> (FaultCampaignResult, MetricsRegistry) {
-    let golden = GoldenRun::capture(program, inputs, campaign.limits);
     assert!(
         !matches!(golden.status, ExecStatus::Fault(_)),
         "golden run must not fault: {:?}",
         golden.status
     );
-    let total = campaign.total();
-    let workers = threads.max(1).min(total.max(1) as usize);
-
-    let (outcomes, mut metrics) = if workers <= 1 {
-        let mut runner = FaultRunner::new(program, analysis, image, inputs, campaign.limits);
-        let mut metrics = MetricsRegistry::new();
-        let mut outcomes = Vec::with_capacity(total as usize);
-        for i in 0..total {
+    let (outcomes, _, mut metrics) = crate::shard(
+        campaign.total(),
+        threads,
+        || FaultRunner::new(program, analysis, image, inputs, campaign.limits),
+        |runner, metrics, i| {
             let plan = fault_plan(campaign, golden.steps, i);
             let outcome = runner.run(campaign, &plan);
-            record_fault(&mut metrics, campaign, &plan, &outcome);
-            outcomes.push(outcome);
-        }
-        // Degenerate single-worker pool accounting, mirroring the worker
-        // pool's own serial path so `pool.tasks_executed` is
-        // engine-independent.
-        metrics.add("pool.tasks_executed", u64::from(total));
-        metrics.add("pool.chunks_claimed", u64::from(total > 0));
-        metrics.add("pool.chunks_stolen", 0);
-        (outcomes, metrics)
-    } else {
-        let (outcomes, states, pool) = ipds_parallel::map_indexed_stats(
-            total,
-            workers,
-            |_| {
-                let runner = FaultRunner::new(program, analysis, image, inputs, campaign.limits);
-                (runner, MetricsRegistry::new())
-            },
-            |(runner, local_metrics), i| {
-                let plan = fault_plan(campaign, golden.steps, i);
-                let outcome = runner.run(campaign, &plan);
-                record_fault(local_metrics, campaign, &plan, &outcome);
-                outcome
-            },
-        );
-        let mut metrics = MetricsRegistry::new();
-        for (_, local_metrics) in &states {
-            metrics.merge(local_metrics);
-        }
-        metrics.add("pool.tasks_executed", pool.tasks_executed);
-        metrics.add("pool.chunks_claimed", pool.chunks_claimed);
-        metrics.add("pool.chunks_stolen", pool.chunks_stolen);
-        (outcomes, metrics)
-    };
+            record_fault(metrics, campaign, &plan, &outcome);
+            outcome
+        },
+    );
     register_fault_counters(&mut metrics);
     (aggregate_faults(campaign, &outcomes), metrics)
 }
@@ -727,6 +679,32 @@ mod tests {
         (p, a, image, inputs)
     }
 
+    fn run(c: &FaultCampaign, threads: usize) -> (FaultCampaignResult, MetricsRegistry) {
+        let (p, a, image, inputs) = setup();
+        let golden = GoldenRun::capture(&p, &inputs, c.limits);
+        run_fault_campaign(&p, &a, &image, &inputs, &golden, c, threads)
+    }
+
+    /// The campaign folded by a plain loop over one runner, with no pool
+    /// in between: the reference the sharded engine must reproduce.
+    fn reference(c: &FaultCampaign) -> (FaultCampaignResult, MetricsRegistry) {
+        let (p, a, image, inputs) = setup();
+        let golden = GoldenRun::capture(&p, &inputs, c.limits);
+        let mut runner = FaultRunner::new(&p, &a, &image, &inputs, c.limits);
+        let mut metrics = MetricsRegistry::new();
+        let outcomes: Vec<FaultOutcome> = (0..c.total())
+            .map(|i| {
+                let plan = fault_plan(c, golden.steps, i);
+                let outcome = runner.run(c, &plan);
+                record_fault(&mut metrics, c, &plan, &outcome);
+                outcome
+            })
+            .collect();
+        register_fault_counters(&mut metrics);
+        metrics.add("pool.tasks_executed", u64::from(c.total()));
+        (aggregate_faults(c, &outcomes), metrics)
+    }
+
     #[test]
     fn plans_are_pure_functions_of_the_seed() {
         let c = FaultCampaign::default();
@@ -743,14 +721,13 @@ mod tests {
 
     #[test]
     fn checksum_on_rejects_every_image_fault() {
-        let (p, a, image, inputs) = setup();
         let c = FaultCampaign {
             flips: 16,
             seed: 7,
             checksum: true,
             limits: ExecLimits::default(),
         };
-        let (r, metrics) = run_fault_campaign(&p, &a, &image, &inputs, &c);
+        let (r, metrics) = run(&c, 1);
         assert_eq!(r.injected, 48);
         assert_eq!(r.image, 16);
         assert_eq!(r.image_undetected, 0, "checksum must catch every flip");
@@ -761,8 +738,7 @@ mod tests {
     }
 
     #[test]
-    fn campaigns_are_bit_identical_across_thread_counts() {
-        let (p, a, image, inputs) = setup();
+    fn engine_matches_the_serial_reference_at_every_thread_count() {
         for checksum in [true, false] {
             let c = FaultCampaign {
                 flips: 10,
@@ -770,11 +746,10 @@ mod tests {
                 checksum,
                 limits: ExecLimits::default(),
             };
-            let (serial, serial_metrics) = run_fault_campaign(&p, &a, &image, &inputs, &c);
-            for threads in [2, 4, 8] {
-                let (par, par_metrics) =
-                    run_fault_campaign_threaded(&p, &a, &image, &inputs, &c, threads);
-                assert_eq!(serial, par, "checksum={checksum} threads={threads}");
+            let (want, want_metrics) = reference(&c);
+            for threads in [0, 1, 2, 3, 4, 7] {
+                let (got, got_metrics) = run(&c, threads);
+                assert_eq!(want, got, "checksum={checksum} threads={threads}");
                 // Chunk accounting describes the scheduler, not the
                 // computation: it is the one telemetry pair allowed to vary
                 // with thread count. Everything else must merge identically.
@@ -784,25 +759,29 @@ mod tests {
                         .collect()
                 };
                 assert_eq!(
-                    stable(&serial_metrics),
-                    stable(&par_metrics),
-                    "deterministic metrics must merge identically"
+                    stable(&want_metrics),
+                    stable(&got_metrics),
+                    "checksum={checksum} threads={threads}: counters"
                 );
-                assert!(par_metrics.counter("pool.chunks_claimed") > 0);
+                assert_eq!(
+                    want_metrics.histograms().collect::<Vec<_>>(),
+                    got_metrics.histograms().collect::<Vec<_>>(),
+                    "checksum={checksum} threads={threads}: histograms"
+                );
+                assert!(got_metrics.counter("pool.chunks_claimed") > 0);
             }
         }
     }
 
     #[test]
     fn outcome_counts_are_consistent() {
-        let (p, a, image, inputs) = setup();
         let c = FaultCampaign {
             flips: 12,
             seed: 3,
             checksum: true,
             limits: ExecLimits::default(),
         };
-        let (r, metrics) = run_fault_campaign(&p, &a, &image, &inputs, &c);
+        let (r, metrics) = run(&c, 1);
         assert_eq!(r.detected + r.masked + r.crashed, r.injected);
         assert_eq!(r.image + r.checker + r.memory, r.injected);
         assert_eq!(metrics.counter("faults.injected"), u64::from(r.injected));
@@ -820,14 +799,13 @@ mod tests {
 
     #[test]
     fn checksum_off_measures_runtime_detection() {
-        let (p, a, image, inputs) = setup();
         let c = FaultCampaign {
             flips: 12,
             seed: 11,
             checksum: false,
             limits: ExecLimits::default(),
         };
-        let (r, _) = run_fault_campaign(&p, &a, &image, &inputs, &c);
+        let (r, _) = run(&c, 1);
         // Restamped images load (unless structurally broken), so not every
         // image fault can be a load-time rejection — the masked/detected
         // split comes from the runtime.
@@ -837,14 +815,13 @@ mod tests {
 
     #[test]
     fn canonical_counters_are_always_emitted() {
-        let (p, a, image, inputs) = setup();
         let c = FaultCampaign {
             flips: 2,
             seed: 1,
             checksum: true,
             limits: ExecLimits::default(),
         };
-        let (_, metrics) = run_fault_campaign(&p, &a, &image, &inputs, &c);
+        let (_, metrics) = run(&c, 1);
         let emitted: Vec<&str> = metrics.counters().map(|(k, _)| k).collect();
         let mut canonical: Vec<&str> = FAULT_COUNTERS.to_vec();
         canonical.extend_from_slice(ipds_parallel::POOL_COUNTERS);

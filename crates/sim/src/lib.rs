@@ -13,15 +13,11 @@
 //! * [`attack`] — the §6 experiment protocol: golden run, single-location
 //!   memory tampering at a chosen instant (format-string = any live cell,
 //!   buffer-overflow = stack cells), control-flow diffing and detection
-//!   measurement over seeded campaigns;
-//! * [`parallel`] — campaign sharding over the persistent
-//!   [`ipds_parallel`] worker pool, with results bit-identical to the
-//!   serial path (attacks are independently seeded; outcomes merge in seed
-//!   order);
+//!   measurement over seeded campaigns, run by [`run_campaign`];
 //! * [`faults`] — a deterministic seeded fault-injection engine striking
 //!   the table image, live checker state and guest memory, grading each
 //!   fault detected/masked/crashed and measuring detection latency in
-//!   committed branches;
+//!   committed branches, run by [`run_fault_campaign`];
 //! * [`rng`] — the in-repo splitmix64/xoshiro256** generator behind every
 //!   seeded protocol (no external `rand` dependency);
 //! * [`pipeline`] — a simplified superscalar timing model with the Table 1
@@ -29,42 +25,83 @@
 //!   spill-fill costs, producing the Fig. 9 normalized-performance numbers
 //!   and the mean detection latency.
 //!
-//! Every engine also comes in an `*_instrumented` flavour threading an
-//! [`EventSink`] (re-exported from [`ipds-telemetry`](ipds_telemetry))
-//! through the hot path; with the default [`NullSink`] the hooks
-//! monomorphize away and the uninstrumented behaviour — and performance —
-//! is preserved bit-for-bit.
+//! Both campaign engines shard their independently seeded tasks over the
+//! persistent [`ipds_parallel`] worker pool (one reusable runner arena per
+//! worker) and fold the outcomes in seed order, so results are
+//! bit-identical at every thread count; `threads <= 1` and small batches
+//! run inline on the caller's thread. Both return their merged
+//! [`MetricsRegistry`]. The attack engine also threads an [`EventSink`]
+//! (re-exported from [`ipds-telemetry`](ipds_telemetry)) through the hot
+//! path; with [`NullSink`] the hooks monomorphize away and the
+//! uninstrumented behaviour — and performance — is preserved bit-for-bit.
 
 pub mod attack;
 pub mod faults;
 pub mod interp;
 pub mod memory;
 pub mod observer;
-pub mod parallel;
 pub mod pipeline;
 pub mod rng;
 
 pub use ipds_telemetry as telemetry;
 
 pub use attack::{
-    attack_seed, run_campaign_instrumented, run_campaign_instrumented_warm, AttackModel,
-    AttackOutcome, AttackRunner, Campaign, CampaignResult, GoldenRun, WarmStart,
+    attack_seed, run_campaign, AttackModel, AttackOutcome, AttackRunner, Campaign, CampaignResult,
+    GoldenRun, WarmStart,
 };
 pub use faults::{
-    fault_plan, fault_seed, fault_site, run_fault_campaign, run_fault_campaign_threaded,
-    AnomalyReport, FaultCampaign, FaultCampaignResult, FaultMutation, FaultOutcome, FaultPlan,
-    FaultRunner, FaultSite, FAULT_COUNTERS, FAULT_HISTOGRAMS,
+    fault_plan, fault_seed, fault_site, run_fault_campaign, AnomalyReport, FaultCampaign,
+    FaultCampaignResult, FaultMutation, FaultOutcome, FaultPlan, FaultRunner, FaultSite,
+    FAULT_COUNTERS, FAULT_HISTOGRAMS,
 };
 pub use interp::{ExecLimits, ExecStatus, Input, Interp};
-pub use ipds_parallel::POOL_COUNTERS;
+pub use ipds_parallel::{default_threads, POOL_COUNTERS};
 pub use memory::Memory;
 pub use observer::{expectation_of, ExecObserver, IpdsObserver, NullObserver};
-pub use parallel::{
-    default_threads, run_campaign_threaded, run_campaign_threaded_instrumented,
-    run_campaign_threaded_instrumented_warm,
-};
 pub use pipeline::{PerfReport, TimingModel};
 pub use rng::{SplitMix64, StdRng};
 pub use telemetry::{
     CounterSnapshot, CountingSink, EventSink, JsonlSink, MetricsRegistry, NullSink,
 };
+
+/// Runs tasks `0..tasks` over up to `threads` workers of the persistent
+/// pool, each worker owning one `init()` state plus a private
+/// [`MetricsRegistry`]. Returns the results in index order, the final
+/// worker states, and the merged registry with the [`POOL_COUNTERS`]
+/// added. Every registry fold commutes, so the merged metrics are
+/// bit-identical at every thread count except the chunk-accounting pair
+/// (`pool.chunks_claimed`, `pool.chunks_stolen`), which describes how the
+/// scheduler carved the index space (see `docs/PERF.md`).
+///
+/// # Panics
+///
+/// Propagates a panic from any worker.
+fn shard<W, R>(
+    tasks: u32,
+    threads: usize,
+    init: impl Fn() -> W + Sync,
+    run: impl Fn(&mut W, &mut MetricsRegistry, u32) -> R + Sync,
+) -> (Vec<R>, Vec<W>, MetricsRegistry)
+where
+    W: Send,
+    R: Send,
+{
+    let (results, states, pool) = ipds_parallel::map_indexed_stats(
+        tasks,
+        threads,
+        |_| (init(), MetricsRegistry::new()),
+        |(state, metrics), i| run(state, metrics, i),
+    );
+    let mut metrics = MetricsRegistry::new();
+    let states = states
+        .into_iter()
+        .map(|(state, local)| {
+            metrics.merge(&local);
+            state
+        })
+        .collect();
+    metrics.add("pool.tasks_executed", pool.tasks_executed);
+    metrics.add("pool.chunks_claimed", pool.chunks_claimed);
+    metrics.add("pool.chunks_stolen", pool.chunks_stolen);
+    (results, states, metrics)
+}

@@ -22,6 +22,11 @@ echo "==> tier-1 build + tests"
 cargo build --release --workspace
 cargo test -q --release --workspace
 
+echo "==> perfbench API surface (the benchmark's own crate builds and tests)"
+# perfbench is a workspace of its own, so the workspace steps above never
+# compile it; this catches a facade change that breaks what it calls.
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> pipeline gate (verify tables + serial/threaded determinism, all workloads)"
 cargo run -q --release -p ipds --bin ipdsc -- \
     build --workloads --verify-tables --determinism --threads 4
