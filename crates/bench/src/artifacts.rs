@@ -1,10 +1,10 @@
 //! Process-wide cache of expensive campaign artifacts.
 //!
-//! The experiment drivers (`exp_fig7`, `exp_ablation`, `exp_all`) repeat
-//! the same two costly steps across figures: compiling a workload's
-//! analysis ([`ipds::Protected`]) and capturing its golden run for a given
-//! benign input script. Neither depends on the campaign parameters, so this
-//! module memoizes both behind a process-global two-level cache:
+//! The experiment driver (`exp_all`) repeats the same two costly steps
+//! across figures: compiling a workload's analysis ([`ipds::Protected`])
+//! and capturing its golden run for a given benign input script. Neither
+//! depends on the campaign parameters, so this module memoizes both behind
+//! a process-global two-level cache:
 //!
 //! 1. **Protected programs**, keyed by `(workload, analysis fingerprint,
 //!    optimized)`. The fingerprint is the `Debug` rendering of the

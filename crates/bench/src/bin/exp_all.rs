@@ -10,6 +10,7 @@
 
 use std::time::Instant;
 
+use ipds_bench::fig7::Fig7Row;
 use ipds_runtime::HwConfig;
 use ipds_sim::attack::{aggregate, attack_rng, AttackRunner, Campaign};
 use ipds_telemetry::{phases, CounterSnapshot, CountingSink, NULL_SINK};
@@ -30,13 +31,29 @@ fn timed<T>(phases: &mut Vec<Phase>, name: &'static str, f: impl FnOnce() -> T) 
     out
 }
 
+/// Parses `[attacks] [--quick]` into `(attacks, quick)`; `None` for any
+/// other argument list.
+fn parse_args(args: &[String]) -> Option<(u32, bool)> {
+    let mut attacks = None;
+    let mut quick = false;
+    for arg in args {
+        if arg == "--quick" && !quick {
+            quick = true;
+        } else if attacks.is_none() {
+            attacks = Some(arg.parse().ok()?);
+        } else {
+            return None;
+        }
+    }
+    Some((attacks.unwrap_or(if quick { 10 } else { 100 }), quick))
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let attacks: u32 = args
-        .iter()
-        .find_map(|s| s.parse().ok())
-        .unwrap_or(if quick { 10 } else { 100 });
+    let Some((attacks, quick)) = parse_args(&args) else {
+        eprintln!("usage: exp_all [attacks] [--quick]");
+        std::process::exit(2);
+    };
     let threads = ipds_sim::default_threads();
     let hw = HwConfig::table1_default();
     let mut wall: Vec<Phase> = Vec::new();
@@ -51,6 +68,24 @@ fn main() {
         ipds_bench::fig7::run_threaded(attacks, 2006, 2006, None, threads)
     });
     ipds_bench::fig7::print(&f7);
+    println!();
+    // Extra (ours), outside the timed phase: the unrefined contiguous-block
+    // overflow — smashing a run of cells hits correlated state more often.
+    let contiguous = ipds_bench::fig7::run_threaded(
+        attacks,
+        2006,
+        2006,
+        Some(ipds_sim::AttackModel::ContiguousOverflow),
+        threads,
+    );
+    let (cf, det, given) = ipds_bench::fig7::averages(&contiguous);
+    println!("(extra) same protocol with contiguous 2-8 cell overflows:");
+    println!(
+        "  cf-changed {:.1}%  detected {:.1}%  detected|cf {:.1}%",
+        100.0 * cf,
+        100.0 * det,
+        100.0 * given
+    );
     println!();
     let f8 = timed(&mut wall, "fig8", ipds_bench::fig8::run);
     ipds_bench::fig8::print(&f8);
@@ -186,30 +221,43 @@ const MIN_POINT_SECONDS: f64 = 0.25;
 /// degenerates into a thread-dispatch benchmark; each row records the
 /// calibrated `attacks` and its own `seconds` so the curve is
 /// interpretable. On an N-core machine the sweep shows the near-linear
-/// speedup (bit-identical results at every point). `scripts/ci.sh` gates
+/// speedup; every point's Fig. 7 rows must equal the 1-thread rows bit for
+/// bit (checked after each point's timer stops). `scripts/ci.sh` gates
 /// on every point of the resulting curve — see docs/PERF.md for the
 /// methodology.
 fn scaling_sweep(attacks: u32, default_threads: usize, quick: bool) -> Vec<Scaling> {
     let workloads = ipds_workloads::all().len() as u64;
-    let time_point = |attacks: u32, threads: usize| -> f64 {
+    let time_point = |attacks: u32, threads: usize| -> (f64, Vec<Fig7Row>) {
         let start = Instant::now();
-        ipds_bench::fig7::run_threaded(attacks, 2006, 2006, None, threads);
-        start.elapsed().as_secs_f64()
+        let rows = ipds_bench::fig7::run_threaded(attacks, 2006, 2006, None, threads);
+        (start.elapsed().as_secs_f64(), rows)
+    };
+    let bits = |rows: &[Fig7Row]| -> Vec<(u64, u64, u64)> {
+        rows.iter()
+            .map(|r| {
+                (
+                    r.cf_changed_rate.to_bits(),
+                    r.detected_rate.to_bits(),
+                    r.detected_given_cf.to_bits(),
+                )
+            })
+            .collect()
     };
 
     // Calibrate the work floor on the 1-thread engine. Aim a little above
     // the floor so the scaled run cannot land just under it; cap the growth
     // so a pathological timer cannot run away.
     let mut attacks = attacks.max(1);
-    let mut base_seconds = time_point(attacks, 1);
+    let (mut base_seconds, mut base_rows) = time_point(attacks, 1);
     for _ in 0..12 {
         if base_seconds >= MIN_POINT_SECONDS || attacks >= 1_000_000 {
             break;
         }
         let factor = (MIN_POINT_SECONDS * 1.3 / base_seconds.max(1e-6)).clamp(2.0, 64.0);
         attacks = ((f64::from(attacks) * factor) as u32).min(1_000_000);
-        base_seconds = time_point(attacks, 1);
+        (base_seconds, base_rows) = time_point(attacks, 1);
     }
+    let base_bits = bits(&base_rows);
 
     let total_attacks = (u64::from(attacks) * workloads) as f64;
     let mut counts = vec![1usize, 2, 4, 8];
@@ -222,7 +270,13 @@ fn scaling_sweep(attacks: u32, default_threads: usize, quick: bool) -> Vec<Scali
             let seconds = if t == 1 {
                 base_seconds
             } else {
-                time_point(attacks, t)
+                let (seconds, rows) = time_point(attacks, t);
+                assert_eq!(
+                    bits(&rows),
+                    base_bits,
+                    "Fig. 7 rows at {t} threads must equal the 1-thread rows bit for bit"
+                );
+                seconds
             };
             Scaling {
                 threads: t,
@@ -715,4 +769,35 @@ fn write_bench_json(
     let path = "results/bench_campaign.json";
     std::fs::write(path, json)?;
     Ok(path.to_string())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_args;
+
+    fn parse(args: &[&str]) -> Option<(u32, bool)> {
+        parse_args(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn accepts_attacks_and_quick() {
+        assert_eq!(parse(&[]), Some((100, false)));
+        assert_eq!(parse(&["--quick"]), Some((10, true)));
+        assert_eq!(parse(&["25"]), Some((25, false)));
+        assert_eq!(parse(&["25", "--quick"]), Some((25, true)));
+    }
+
+    #[test]
+    fn rejects_anything_else() {
+        for args in [
+            &["--threads", "4"][..],
+            &["--qiuck"],
+            &["--attacks", "10"],
+            &["10", "20"],
+            &["--quick", "--quick"],
+            &["ten"],
+        ] {
+            assert_eq!(parse(args), None, "{args:?}");
+        }
+    }
 }

@@ -34,24 +34,6 @@ pub fn run(attacks: u32, seed: u64, input_seed: u64) -> Vec<Fig7Row> {
     run_threaded(attacks, seed, input_seed, None, ipds_sim::default_threads())
 }
 
-/// Like [`run`], but overriding every workload's attack model — used for
-/// the contiguous-overflow comparison (the block-smash shape §6 says real
-/// overflows take before the paper refines to single locations).
-pub fn run_with_model(
-    attacks: u32,
-    seed: u64,
-    input_seed: u64,
-    model: Option<ipds_sim::AttackModel>,
-) -> Vec<Fig7Row> {
-    run_threaded(
-        attacks,
-        seed,
-        input_seed,
-        model,
-        ipds_sim::default_threads(),
-    )
-}
-
 /// The fully parameterized driver behind [`run`]: explicit attack model
 /// override and worker-thread count. Compiles and golden-runs each
 /// workload at most once per process via the [`crate::artifacts`] cache.

@@ -2,19 +2,20 @@
 //!
 //! One module per table/figure of the evaluation section (§6), each with a
 //! `run()` producing structured rows and a `print()` rendering the same
-//! table the paper reports. The `exp_*` binaries in `src/bin` are thin
-//! wrappers; the Criterion benches in `benches/` measure the costs (compile
-//! time, checking throughput, simulation speed) on the same drivers.
+//! table the paper reports. The one binary, `exp_all`, prints every table
+//! in sequence and writes `results/bench_campaign.json`; the per-layer
+//! timings live in the `perfbench/` benchmark.
 //!
-//! | Paper artifact | Module | Binary |
-//! |---|---|---|
-//! | Fig. 7 detection rates | [`fig7`] | `exp_fig7` |
-//! | Fig. 8 table sizes | [`fig8`] | `exp_fig8` |
-//! | Fig. 9 normalized performance | [`fig9`] | `exp_fig9` |
-//! | Table 1 processor config | [`table1`] | `exp_table1` |
-//! | §6 detection latency (11.7 cycles) | [`latency`] | `exp_latency` |
-//! | Ablations (ours) | [`ablation`] | `exp_ablation` |
-//! | §5.4 context-switch costs | [`context`] | `exp_context` |
+//! | Paper artifact | Module |
+//! |---|---|
+//! | Fig. 7 detection rates | [`fig7`] |
+//! | Fig. 8 table sizes | [`fig8`] |
+//! | Fig. 9 normalized performance | [`fig9`] |
+//! | Table 1 processor config | [`table1`] |
+//! | §6 detection latency (11.7 cycles) | [`latency`] |
+//! | Ablations (ours) | [`ablation`] |
+//! | §5.4 context-switch costs | [`context`] |
+//! | Timing-model microbenchmarks (ours) | [`micro`] |
 
 pub mod ablation;
 pub mod artifacts;
@@ -35,7 +36,7 @@ use ipds_workloads::Workload;
 ///
 /// Served from the process-wide [`artifacts`] cache, so every figure that
 /// protects the same workload under the default config shares one compile.
-pub fn protect(w: &Workload) -> Arc<Protected> {
+pub(crate) fn protect(w: &Workload) -> Arc<Protected> {
     artifacts::protected(w, &ipds::Config::default(), false)
 }
 

@@ -71,11 +71,7 @@ for crate in ipds-ir ipds-dataflow ipds-analysis ipds-absint ipds-parallel; do
 done
 
 echo "==> bench harness compiles (vendored mini-criterion)"
-cargo build --release -p ipds-bench --benches --features bench-harness
 cargo build --release -p ipds-runtime --benches --features bench-harness
-
-echo "==> campaign smoke (parallel engine, 10 attacks/workload)"
-cargo run -q --release -p ipds-bench --bin exp_fig7 -- --attacks 10
 
 echo "==> fault-injection gate (every checksummed image flip must be rejected)"
 cargo run -q --release -p ipds --bin ipdsc -- \
