@@ -20,11 +20,6 @@
 //!   parallel flat arrays (target slot, action bits) addressed by a
 //!   `(branch, direction) → start` offset table, replacing the per-branch
 //!   `BTreeMap` walk with a prefix-sum slice.
-//!
-//! [`IpdsChecker::on_branch_run`] additionally processes a whole *run* of
-//! committed branches against one frame-stack resolution — callers that
-//! replay recorded traces (warm-start restore, microbenchmarks) pay the
-//! stack touch once per run instead of once per event.
 
 use ipds_analysis::{BranchStatus, FunctionAnalysis, ProgramAnalysis};
 use ipds_ir::FuncId;
@@ -292,6 +287,11 @@ impl<'a> IpdsChecker<'a> {
     }
 
     /// Pushes a fresh all-unknown BSV frame for `func` (function entry).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `func` is not a function of the analysed program (see
+    /// [`IpdsChecker::knows_function`]).
     pub fn on_call(&mut self, func: FuncId) {
         let words = self.tables[func.0 as usize].bsv_words;
         let mut bsv = self.bsv_pool.pop().unwrap_or_default();
@@ -300,6 +300,13 @@ impl<'a> IpdsChecker<'a> {
         self.stack.push(Frame { func, bsv });
         self.stats.calls += 1;
         self.stats.max_depth = self.stats.max_depth.max(self.stack.len());
+    }
+
+    /// True if `func` is a function of the analysed program — the
+    /// precondition of [`IpdsChecker::on_call`], which callers replaying an
+    /// untrusted event stream check first.
+    pub fn knows_function(&self, func: FuncId) -> bool {
+        (func.0 as usize) < self.tables.len()
     }
 
     /// Pops the top frame (function return).
@@ -363,13 +370,37 @@ impl<'a> IpdsChecker<'a> {
     /// Panics if no frame is active or the PC does not belong to the top
     /// frame's function (the simulator guarantees both).
     pub fn on_branch(&mut self, pc: u64, dir: bool) -> BranchOutcome {
+        if let Some(outcome) = self.check_branch(pc, dir) {
+            return outcome;
+        }
+        let frame = self.stack.last().expect("no active frame");
+        let name = &self.analysis.of(frame.func).name;
+        panic!("pc {pc:#x} is not a branch of {name}");
+    }
+
+    /// Non-panicking variant of [`IpdsChecker::on_branch`] for event
+    /// streams the checker cannot trust: fault campaigns driving it from
+    /// *corrupted* tables, and guest streams arriving at the service. A PC
+    /// the top frame's function does not know (e.g. a bit-flipped branch
+    /// address) is an unverifiable probe miss — the branch is still
+    /// counted, but no verify/update runs and `None` is returned. `None` is
+    /// also returned, without counting, when no frame is active.
+    pub fn on_branch_lenient(&mut self, pc: u64, dir: bool) -> Option<BranchOutcome> {
+        self.check_branch(pc, dir)
+    }
+
+    /// The verify-then-update body behind both branch entry points:
+    /// resolves the PC once against the top frame's tables, then verifies
+    /// and applies the BAT row. `None` (with nothing verified or updated)
+    /// for no active frame or a foreign PC; only the latter is counted.
+    /// Always inlined, so each entry point stays one call deep on the
+    /// per-branch hot path.
+    #[inline(always)]
+    fn check_branch(&mut self, pc: u64, dir: bool) -> Option<BranchOutcome> {
+        let frame = self.stack.last_mut()?;
         self.stats.branches += 1;
-        let frame = self.stack.last_mut().expect("no active frame");
         let tables = &self.tables[frame.func.0 as usize];
-        let Some(idx) = tables.branch_of_pc(pc) else {
-            let name = &self.analysis.of(frame.func).name;
-            panic!("pc {pc:#x} is not a branch of {name}");
-        };
+        let idx = tables.branch_of_pc(pc)?;
 
         let mut outcome = BranchOutcome {
             // The BCV probe.
@@ -425,101 +456,7 @@ impl<'a> IpdsChecker<'a> {
         }
 
         self.stats.table_accesses += u64::from(outcome.table_accesses);
-        outcome
-    }
-
-    /// Batched variant of [`IpdsChecker::on_branch`]: processes a *run* of
-    /// committed branches — all of the current (top) frame, since branches
-    /// never push or pop activations — resolving the frame stack and the
-    /// function tables once for the whole slice. Returns the elementwise sum
-    /// of the per-branch outcomes (`alarm`/`verified` become counts via the
-    /// aggregate's `table_accesses`-style fields of [`IpdsStats`]; consult
-    /// [`IpdsChecker::stats`]/[`IpdsChecker::alarms`] for details).
-    ///
-    /// # Panics
-    ///
-    /// Panics if no frame is active or any PC does not belong to the top
-    /// frame's function.
-    pub fn on_branch_run(&mut self, events: &[(u64, bool)]) -> BranchOutcome {
-        let mut total = BranchOutcome::default();
-        if events.is_empty() {
-            return total;
-        }
-        let frame = self.stack.last_mut().expect("no active frame");
-        let func = frame.func;
-        let tables = &self.tables[func.0 as usize];
-        for &(pc, dir) in events {
-            self.stats.branches += 1;
-            let Some(idx) = tables.branch_of_pc(pc) else {
-                let name = &self.analysis.of(func).name;
-                panic!("pc {pc:#x} is not a branch of {name}");
-            };
-            total.table_accesses += 1;
-            self.stats.table_accesses += 1;
-            if tables.is_checked(idx) {
-                total.verified = true;
-                total.table_accesses += 1;
-                self.stats.table_accesses += 1;
-                self.stats.verified += 1;
-                let slot = tables.slot_of[idx as usize] as usize;
-                let expected = BranchStatus::from_bits(bsv_get(&frame.bsv, slot));
-                if !expected.matches(dir) {
-                    total.alarm = true;
-                    self.stats.alarms += 1;
-                    self.alarms.push(Alarm {
-                        func,
-                        pc,
-                        expected,
-                        actual: dir,
-                        branch_seq: self.stats.branches,
-                    });
-                }
-            }
-            let row = (idx as usize) * 2 + usize::from(dir);
-            let (start, end) = (
-                tables.bat_start[row] as usize,
-                tables.bat_start[row + 1] as usize,
-            );
-            for e in start..end {
-                let tslot = tables.bat_target_slot[e] as usize;
-                let old = bsv_get(&frame.bsv, tslot);
-                let new = match tables.bat_action[e] {
-                    0b01 => 0b01,
-                    0b10 => 0b10,
-                    0b11 => 0b00,
-                    _ => old,
-                };
-                bsv_set(&mut frame.bsv, tslot, new);
-                total.table_accesses += 1;
-                total.bat_entries += 1;
-                self.stats.table_accesses += 1;
-                if new != old {
-                    total.bsv_transitions += 1;
-                    self.stats.bsv_transitions += 1;
-                }
-                self.stats.bat_entries_applied += 1;
-            }
-        }
-        total
-    }
-
-    /// Non-panicking variant of [`IpdsChecker::on_branch`] for fault
-    /// campaigns driving the checker from *corrupted* tables: a PC the top
-    /// frame's function does not know (e.g. a bit-flipped branch address) is
-    /// an unverifiable probe miss — the branch is still counted, but no
-    /// verify/update runs and `None` is returned. `None` is also returned
-    /// when no frame is active.
-    pub fn on_branch_lenient(&mut self, pc: u64, dir: bool) -> Option<BranchOutcome> {
-        let frame = self.stack.last()?;
-        let known = self
-            .tables
-            .get(frame.func.0 as usize)
-            .is_some_and(|t| t.branch_of_pc(pc).is_some());
-        if !known {
-            self.stats.branches += 1;
-            return None;
-        }
-        Some(self.on_branch(pc, dir))
+        Some(outcome)
     }
 
     /// Reads the expected status currently recorded for a branch of the top
@@ -805,39 +742,6 @@ mod tests {
         assert!(out.verified);
         assert!(out.table_accesses >= 3, "{out:?}");
         assert!(ipds.stats().table_accesses >= out.table_accesses as u64);
-    }
-
-    #[test]
-    fn batched_run_matches_per_event_processing() {
-        let (_, a) = setup(
-            "fn main() -> int { int x; int i; x = read_int(); \
-             for (i = 0; i < 4; i = i + 1) { \
-               if (x == 1) { print_int(1); } \
-               if (x == 1) { print_int(2); } else { print_int(3); } \
-             } return 0; }",
-        );
-        let main = &a.functions[0];
-        let pcs: Vec<u64> = main.branches.iter().map(|b| b.pc).collect();
-        let mut events = Vec::new();
-        for round in 0..4 {
-            events.push((pcs[0], true));
-            // Flip the x-tests mid-run so the batch path exercises alarms.
-            let dir = round < 2;
-            events.push((pcs[1], dir));
-            events.push((pcs[2], dir));
-        }
-        events.push((pcs[0], false));
-
-        let mut serial = IpdsChecker::new(&a);
-        serial.on_call(main.func);
-        for &(pc, dir) in &events {
-            serial.on_branch(pc, dir);
-        }
-        let mut batched = IpdsChecker::new(&a);
-        batched.on_call(main.func);
-        batched.on_branch_run(&events);
-        assert_eq!(serial.stats(), batched.stats());
-        assert_eq!(serial.alarms(), batched.alarms());
     }
 
     #[test]

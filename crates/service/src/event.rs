@@ -8,11 +8,10 @@ use ipds_ir::FuncId;
 /// This is the wire format between a monitored guest and the service: the
 /// guest (here: the synthetic fleet driver's instrumented interpreter)
 /// reports committed control-flow events in order, chopped into
-/// `Vec<GuestEvent>` batches. The ingestion worker replays them through
-/// the session's pooled [`IpdsChecker`](ipds_runtime::IpdsChecker) —
-/// consecutive `Branch` events are buffered and flushed through the flat
-/// SoA batch entry point
-/// [`on_branch_run`](ipds_runtime::IpdsChecker::on_branch_run).
+/// `Vec<GuestEvent>` batches. The ingestion worker replays them one by one
+/// through the session's pooled
+/// [`IpdsChecker`](ipds_runtime::IpdsChecker); an event the checker cannot
+/// apply opens the session's `ProtocolViolation` incident.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GuestEvent {
     /// Control entered `func` (every stream starts with the entry

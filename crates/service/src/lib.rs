@@ -12,13 +12,13 @@
 //!   bytes shares the verified artifact. Corrupted images never enter the
 //!   cache.
 //! * [`SessionPool`] — pooled per-session checker state (tables stay
-//!   borrowed from the shared artifact; BSV arenas and scratch buffers are
-//!   recycled on session close instead of reallocated).
+//!   borrowed from the shared artifact; BSV arenas are recycled on session
+//!   close instead of reallocated).
 //! * [`Service`] — sharded ingestion: guest sessions push
 //!   [`GuestEvent`] batches over *bounded* `mpsc` channels (back-pressure
 //!   instead of unbounded queue growth) into persistent-pool worker
-//!   threads that drive the flat SoA checker hot path
-//!   ([`IpdsChecker::on_branch_run`](ipds_runtime::IpdsChecker::on_branch_run)).
+//!   threads that replay each event through the session's checker (a
+//!   hostile stream opens a `ProtocolViolation` incident, never a panic).
 //!   Per-session results merge in session-id order, so fleet results are
 //!   bit-identical for every ingestion-worker count.
 //! * [`Incident`] / [`RootCause`] — per-session anomalies open typed

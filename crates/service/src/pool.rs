@@ -22,10 +22,9 @@ pub struct SessionPoolStats {
 }
 
 /// Everything one open guest session owns on the service side: the pooled
-/// checker (borrowing the shared artifact's tables), the branch-batch
-/// scratch arena, and the incident fold state. Recycled — not dropped —
-/// on close, so the BSV frame pool and scratch allocations survive into
-/// the next session of the same workload.
+/// checker (borrowing the shared artifact's tables) and the incident fold
+/// state. Recycled — not dropped — on close, so the BSV frame pool survives
+/// into the next session of the same workload.
 #[derive(Debug)]
 pub struct SessionState<'a> {
     /// The wrapped checker (exposed for inspection; tests and the shadow
@@ -36,7 +35,6 @@ pub struct SessionState<'a> {
     session: u64,
     events: u64,
     batches: u64,
-    scratch: Vec<(u64, bool)>,
     incidents: Vec<Incident>,
     alarms_folded: usize,
 }
@@ -56,7 +54,6 @@ impl<'a> SessionState<'a> {
             session,
             events: 0,
             batches: 0,
-            scratch: Vec::new(),
             incidents: Vec::new(),
             alarms_folded: 0,
         }
@@ -68,7 +65,6 @@ impl<'a> SessionState<'a> {
         self.session = session;
         self.events = 0;
         self.batches = 0;
-        self.scratch.clear();
         self.incidents.clear();
         self.alarms_folded = 0;
     }
@@ -93,34 +89,38 @@ impl<'a> SessionState<'a> {
         &self.incidents
     }
 
-    /// Replays one batch through the checker. Consecutive `Branch` events
-    /// buffer into the scratch arena and flush through the flat SoA batch
-    /// entry point [`IpdsChecker::on_branch_run`]; call/return/fault
-    /// events are barriers. New alarms fold into the session's incident.
+    /// Replays one batch through the checker, one event at a time. An
+    /// event the checker cannot apply — a branch with no active frame or at
+    /// a PC the top frame's function does not own, a call to a function the
+    /// program does not define, a return with no frame — opens the session's
+    /// `ProtocolViolation` incident and is otherwise skipped. New alarms
+    /// fold into the session's `InfeasiblePath` incident.
     pub fn ingest(&mut self, workload_name: &str, events: &[GuestEvent]) {
         self.batches += 1;
         self.events += events.len() as u64;
         for ev in events {
-            match *ev {
-                GuestEvent::Branch { pc, taken } => self.scratch.push((pc, taken)),
+            let applied = match *ev {
+                GuestEvent::Branch { pc, taken } => {
+                    self.checker.on_branch_lenient(pc, taken).is_some()
+                }
                 GuestEvent::Call(func) => {
-                    flush(&mut self.checker, &mut self.scratch);
-                    self.checker.on_call(func);
-                }
-                GuestEvent::Return => {
-                    flush(&mut self.checker, &mut self.scratch);
-                    if self.checker.on_return().is_err() {
-                        let seq = self.checker.stats().branches;
-                        self.open(workload_name, IncidentKind::ProtocolViolation, seq);
+                    let known = self.checker.knows_function(func);
+                    if known {
+                        self.checker.on_call(func);
                     }
+                    known
                 }
+                GuestEvent::Return => self.checker.on_return().is_ok(),
                 GuestEvent::FaultBsv { slot, status } => {
-                    flush(&mut self.checker, &mut self.scratch);
                     self.checker.inject_bsv(slot as usize, status);
+                    true
                 }
+            };
+            if !applied {
+                let seq = self.checker.stats().branches;
+                self.open(workload_name, IncidentKind::ProtocolViolation, seq);
             }
         }
-        flush(&mut self.checker, &mut self.scratch);
         self.fold_alarms(workload_name);
     }
 
@@ -179,16 +179,6 @@ impl<'a> SessionState<'a> {
         {
             inc.alarm_count += fresh;
         }
-    }
-}
-
-/// Flushes buffered branch events through the SoA hot path. Free function
-/// so the borrow of the scratch arena and the mutable borrow of the
-/// checker stay visibly disjoint.
-fn flush(checker: &mut IpdsChecker<'_>, scratch: &mut Vec<(u64, bool)>) {
-    if !scratch.is_empty() {
-        checker.on_branch_run(scratch);
-        scratch.clear();
     }
 }
 

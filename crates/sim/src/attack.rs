@@ -884,7 +884,7 @@ mod tests {
         loop {
             let done = {
                 let mut tee = Tee::new(&mut trace, &mut ipds);
-                interp.step(&mut tee);
+                interp.run_steps(1, &mut tee);
                 !trace.trace.is_empty() || interp.status() != &ExecStatus::Running
             };
             if done {

@@ -1,15 +1,13 @@
 //! The IR interpreter.
 //!
-//! Executes a [`Program`] one instruction at a time against the flat
-//! [`Memory`], emitting events to an [`ExecObserver`]. Step-level control is
-//! what the attack injector needs: it runs to a chosen instant, tampers a
-//! cell, and resumes.
+//! Executes a [`Program`] against the flat [`Memory`] in one dispatch loop,
+//! emitting events to an [`ExecObserver`]. [`Interp::run_steps`] stops after
+//! any number of steps, which is what the attack injector needs: it runs to
+//! a chosen instant, tampers a cell, and resumes.
 
 use std::collections::VecDeque;
 
-use ipds_ir::{
-    Address, Builtin, Callee, FuncId, Function, Inst, Operand, Program, Reg, Terminator, VarId,
-};
+use ipds_ir::{Address, Builtin, Callee, Function, Inst, Operand, Program, Reg, Terminator, VarId};
 
 use crate::memory::{MemSnapshot, Memory};
 use crate::observer::ExecObserver;
@@ -188,12 +186,12 @@ pub struct Interp<'a> {
     status: ExecStatus,
     steps: u64,
     limits: ExecLimits,
-    /// Retired register vectors, recycled by `enter` so steady-state
+    /// Retired register vectors, recycled by calls so steady-state
     /// execution (and campaign reuse via [`Interp::reset`]) allocates no
     /// per-call register storage.
     reg_pool: Vec<Vec<i64>>,
-    /// Scratch buffer for call-argument evaluation in the generic step path,
-    /// reused so calls allocate no per-call argv.
+    /// Builtin-call arguments, reused so builtins allocate no per-call
+    /// argv.
     arg_scratch: Vec<i64>,
 }
 
@@ -222,8 +220,7 @@ impl<'a> Interp<'a> {
             reg_pool: Vec::new(),
             arg_scratch: Vec::new(),
         };
-        let main = program.main().expect("program must define `main`");
-        interp.enter(main.id, &[], None);
+        interp.enter_main();
         interp
     }
 
@@ -241,33 +238,24 @@ impl<'a> Interp<'a> {
         }
         self.status = ExecStatus::Running;
         self.steps = 0;
+        self.enter_main();
+    }
+
+    /// Pushes the activation of `main` (which takes no arguments) onto the
+    /// empty stack.
+    fn enter_main(&mut self) {
         let main = self.program.main().expect("program must define `main`");
-        self.enter(main.id, &[], None);
-    }
-
-    fn func(&self, id: u32) -> &'a Function {
-        &self.program.functions[id as usize]
-    }
-
-    fn enter(&mut self, func: FuncId, args: &[i64], ret_dst: Option<Reg>) {
-        let f = self.func(func.0);
-        let frame = self.mem.push_frame(f);
-        for (i, &a) in args.iter().enumerate() {
-            let addr = self.mem.addr_of(frame, VarId::local(i as u32));
-            // Frame cells were just allocated; this store cannot fault.
-            let ok = self.mem.store(addr, a);
-            debug_assert!(ok);
-        }
+        let frame = self.mem.push_frame(main);
         let mut regs = self.reg_pool.pop().unwrap_or_default();
         regs.clear();
-        regs.resize(f.next_reg as usize, 0);
+        regs.resize(main.next_reg as usize, 0);
         self.stack.push(Activation {
-            func: func.0,
-            block: f.entry.index(),
+            func: main.id.0,
+            block: main.entry.index(),
             idx: 0,
             regs,
             frame,
-            ret_dst,
+            ret_dst: None,
         });
     }
 
@@ -374,44 +362,42 @@ impl<'a> Interp<'a> {
 
     /// Runs at most `n` further steps.
     ///
-    /// Observers that want neither instruction nor memory events (the
-    /// campaign hot path) take a burst dispatch loop that caches the
-    /// function/block lookups [`Interp::step`] redoes per instruction;
-    /// everything else runs the single-step machine. Both produce identical
-    /// state, step accounting and observer event streams.
+    /// Every step goes through the interpreter's one dispatch loop, which
+    /// leaves it only to finish a builtin call (already counted, arguments
+    /// evaluated) before resuming. Any observer sees the same execution:
+    /// its capability flags only decide which hooks fire.
     pub fn run_steps<O: ExecObserver>(&mut self, n: u64, obs: &mut O) -> ExecStatus {
         let target = self.steps.saturating_add(n);
-        if O::WANTS_INST || O::WANTS_MEM {
-            while self.status == ExecStatus::Running && self.steps < target {
-                self.step(obs);
-            }
-        } else {
-            while self.status == ExecStatus::Running && self.steps < target {
-                self.burst(target, obs);
-                // The burst stops short of the rare ops it does not handle
-                // (builtin calls, an empty stack); one generic step covers
-                // them, then the next burst resumes.
-                if self.status == ExecStatus::Running && self.steps < target {
-                    self.step(obs);
-                }
+        while self.status == ExecStatus::Running && self.steps < target {
+            if let Some((builtin, dst, pc)) = self.dispatch(target, obs) {
+                self.run_builtin(builtin, dst, pc, obs);
             }
         }
         self.status.clone()
     }
 
-    /// Executes instructions, jumps, branches, direct calls and returns in a
-    /// burst until it reaches `target` steps, a builtin call, or a terminal
-    /// state. The function and basic-block references are resolved once per
-    /// control transfer instead of once per step, which is where the
-    /// single-step machine spends most of its time.
+    /// The interpreter's dispatch loop: executes instructions, jumps,
+    /// branches, direct calls and returns until it reaches `target` steps,
+    /// a builtin call, or a terminal state. The function and basic-block
+    /// references are resolved once per control transfer, not once per
+    /// step.
     ///
-    /// Semantics mirror [`Interp::step`] exactly: identical step accounting
-    /// (budget overrun consumes the step), identical fault messages and
-    /// points, and observer events fired in the same order. Only valid for
-    /// observers with both capability flags off — per-slot PCs are
-    /// materialized solely for committed branches.
-    fn burst<O: ExecObserver>(&mut self, target: u64, obs: &mut O) {
-        debug_assert!(!O::WANTS_INST && !O::WANTS_MEM);
+    /// Each step is counted first (a budget overrun consumes the step and
+    /// stops with [`ExecStatus::OutOfBudget`]); then
+    /// [`ExecObserver::on_inst`] fires and the slot executes, reporting
+    /// [`ExecObserver::on_mem`] before each load or store. Slot PCs are
+    /// computed only for branches, builtin calls and observers whose
+    /// capability flags ask for them, so for the campaign's observers both
+    /// hooks compile away.
+    ///
+    /// A builtin call stops the loop with its step counted and its
+    /// arguments in `arg_scratch`: it returns the builtin, its destination
+    /// register and its PC for [`Interp::run_builtin`].
+    fn dispatch<O: ExecObserver>(
+        &mut self,
+        target: u64,
+        obs: &mut O,
+    ) -> Option<(Builtin, Option<Reg>, u64)> {
         let program = self.program;
         let Interp {
             mem,
@@ -421,12 +407,21 @@ impl<'a> Interp<'a> {
             steps,
             limits,
             reg_pool,
+            arg_scratch,
             ..
         } = self;
         'act: loop {
             let depth = stack.len();
             let Some(act) = stack.last_mut() else {
-                return; // step() records the exit
+                // Only a restored frameless snapshot gets here; the step
+                // exits like a return from `main`.
+                *steps += 1;
+                *status = if *steps > limits.max_steps {
+                    ExecStatus::OutOfBudget
+                } else {
+                    ExecStatus::Exited(0)
+                };
+                return None;
             };
             let func = &program.functions[act.func as usize];
             let pcmap = &pcs[act.func as usize];
@@ -434,20 +429,17 @@ impl<'a> Interp<'a> {
                 let bb = &func.blocks[act.block];
                 while act.idx < bb.insts.len() {
                     if *steps >= target {
-                        return;
-                    }
-                    let inst = &bb.insts[act.idx];
-                    if let Inst::Call { callee, .. } = inst {
-                        if matches!(callee, Callee::Builtin(_)) {
-                            return; // step() runs the builtin
-                        }
+                        return None;
                     }
                     *steps += 1;
                     if *steps > limits.max_steps {
                         *status = ExecStatus::OutOfBudget;
-                        return;
+                        return None;
                     }
-                    match inst {
+                    if O::WANTS_INST {
+                        obs.on_inst(pcmap.pc(func, act.block, act.idx));
+                    }
+                    match &bb.insts[act.idx] {
                         Inst::Const { dst, value } => act.regs[dst.0 as usize] = *value,
                         Inst::BinOp { dst, op, lhs, rhs } => {
                             let a = operand_of(act, *lhs);
@@ -465,27 +457,35 @@ impl<'a> Interp<'a> {
                             act.regs[dst.0 as usize] = pred.eval(a, b) as i64;
                         }
                         Inst::Load { dst, addr } => match resolve_addr(mem, act, addr) {
-                            Ok(a) => act.regs[dst.0 as usize] = mem.load(a),
+                            Ok(a) => {
+                                if O::WANTS_MEM {
+                                    obs.on_mem(pcmap.pc(func, act.block, act.idx), a, false);
+                                }
+                                act.regs[dst.0 as usize] = mem.load(a);
+                            }
                             Err(raw) => {
                                 *status = ExecStatus::Fault(format!(
                                     "load from out-of-bounds address {raw}"
                                 ));
-                                return;
+                                return None;
                             }
                         },
                         Inst::Store { addr, src } => match resolve_addr(mem, act, addr) {
                             Ok(a) => {
+                                if O::WANTS_MEM {
+                                    obs.on_mem(pcmap.pc(func, act.block, act.idx), a, true);
+                                }
                                 let v = operand_of(act, *src);
                                 if !mem.store(a, v) {
                                     *status = ExecStatus::Fault(format!("store fault at cell {a}"));
-                                    return;
+                                    return None;
                                 }
                             }
                             Err(raw) => {
                                 *status = ExecStatus::Fault(format!(
                                     "store to out-of-bounds address {raw}"
                                 ));
-                                return;
+                                return None;
                             }
                         },
                         Inst::AddrOf { dst, base, offset } => {
@@ -493,18 +493,28 @@ impl<'a> Interp<'a> {
                             let o = operand_of(act, *offset);
                             act.regs[dst.0 as usize] = (b as i64).wrapping_add(o);
                         }
-                        Inst::Call { dst, callee, args } => {
-                            let Callee::Direct(fid) = callee else {
-                                unreachable!("builtins bail out above")
-                            };
+                        Inst::Call {
+                            dst,
+                            callee: Callee::Builtin(b),
+                            args,
+                        } => {
+                            arg_scratch.clear();
+                            arg_scratch.extend(args.iter().map(|&a| operand_of(act, a)));
+                            return Some((*b, *dst, pcmap.pc(func, act.block, act.idx)));
+                        }
+                        Inst::Call {
+                            dst,
+                            callee: Callee::Direct(fid),
+                            args,
+                        } => {
                             if depth >= limits.max_depth {
                                 *status = ExecStatus::Fault("call stack overflow".into());
-                                return;
+                                return None;
                             }
-                            // Inline `enter`: push the callee frame, store
-                            // the arguments (frame cells were just
-                            // allocated; those stores cannot fault), seed
-                            // the register file from the pool.
+                            // Push the callee frame, store the arguments
+                            // (frame cells were just allocated; those stores
+                            // cannot fault), seed the register file from the
+                            // pool.
                             let f = &program.functions[fid.0 as usize];
                             let frame = mem.push_frame(f);
                             for (i, &a) in args.iter().enumerate() {
@@ -517,36 +527,39 @@ impl<'a> Interp<'a> {
                             regs.clear();
                             regs.resize(f.next_reg as usize, 0);
                             act.idx += 1; // advance the caller past the call
-                            let entry = f.entry.index();
-                            let fid = *fid;
-                            let ret_dst = *dst;
                             stack.push(Activation {
                                 func: fid.0,
-                                block: entry,
+                                block: f.entry.index(),
                                 idx: 0,
                                 regs,
                                 frame,
-                                ret_dst,
+                                ret_dst: *dst,
                             });
-                            obs.on_call(fid);
+                            obs.on_call(*fid);
                             continue 'act;
                         }
+                        // Executable programs are post-deconstruction by
+                        // contract (the structural verifier rejects phis);
+                        // fault rather than guess a predecessor.
                         Inst::Phi { .. } => {
                             *status = ExecStatus::Fault(
                                 "phi reached the simulator (deconstruct-ssa must run first)".into(),
                             );
-                            return;
+                            return None;
                         }
                     }
                     act.idx += 1;
                 }
                 if *steps >= target {
-                    return;
+                    return None;
                 }
                 *steps += 1;
                 if *steps > limits.max_steps {
                     *status = ExecStatus::OutOfBudget;
-                    return;
+                    return None;
+                }
+                if O::WANTS_INST {
+                    obs.on_inst(pcmap.pc(func, act.block, act.idx));
                 }
                 match &bb.term {
                     Terminator::Jump(t) => {
@@ -572,9 +585,11 @@ impl<'a> Interp<'a> {
                         if stack.is_empty() {
                             *status = ExecStatus::Exited(value.unwrap_or(0));
                             reg_pool.push(fin.regs);
-                            return;
+                            return None;
                         }
                         obs.on_return();
+                        // The caller's idx was already advanced past the
+                        // call when the call executed.
                         if let Some(dst) = fin.ret_dst {
                             let caller = stack.len() - 1;
                             stack[caller].regs[dst.0 as usize] = value.unwrap_or(0);
@@ -587,14 +602,31 @@ impl<'a> Interp<'a> {
         }
     }
 
-    fn fault(&mut self, msg: impl Into<String>) {
-        self.status = ExecStatus::Fault(msg.into());
+    /// Finishes the builtin call [`Interp::dispatch`] stopped at: runs it
+    /// on the arguments in `arg_scratch`, stores its result and advances
+    /// the caller past the call. A fault or `exit` leaves the slot as is.
+    fn run_builtin<O: ExecObserver>(
+        &mut self,
+        builtin: Builtin,
+        dst: Option<Reg>,
+        pc: u64,
+        obs: &mut O,
+    ) {
+        let argv = std::mem::take(&mut self.arg_scratch);
+        let result = self.exec_builtin(builtin, &argv, pc, obs);
+        self.arg_scratch = argv;
+        if self.status != ExecStatus::Running {
+            return;
+        }
+        let act = self.stack.last_mut().expect("the caller frame");
+        if let (Some(d), Some(v)) = (dst, result) {
+            act.regs[d.0 as usize] = v;
+        }
+        act.idx += 1;
     }
 
-    /// The PC of the instruction slot `(block, idx)` of `func_id`.
-    #[inline]
-    fn pc_of(&self, func_id: u32, block: usize, idx: usize) -> u64 {
-        self.pcs[func_id as usize].pc(self.func(func_id), block, idx)
+    fn fault(&mut self, msg: impl Into<String>) {
+        self.status = ExecStatus::Fault(msg.into());
     }
 
     /// Converts a builtin's pointer argument into a cell address, faulting
@@ -606,201 +638,6 @@ impl<'a> Interp<'a> {
             Err(_) => {
                 self.fault(format!("{what}: out-of-bounds address {v}"));
                 None
-            }
-        }
-    }
-
-    /// Executes one instruction or terminator.
-    ///
-    /// The PC of the committed slot is computed lazily: only observers whose
-    /// [`ExecObserver::WANTS_INST`]/[`ExecObserver::WANTS_MEM`] capability
-    /// flags ask for it (or a committed branch, which always carries its PC)
-    /// pay for the layout lookup — the campaign hot path runs with both
-    /// flags off.
-    pub fn step<O: ExecObserver>(&mut self, obs: &mut O) {
-        if self.status != ExecStatus::Running {
-            return;
-        }
-        self.steps += 1;
-        if self.steps > self.limits.max_steps {
-            self.status = ExecStatus::OutOfBudget;
-            return;
-        }
-        let Some(act_idx) = self.stack.len().checked_sub(1) else {
-            self.status = ExecStatus::Exited(0);
-            return;
-        };
-        let (func_id, block, idx) = {
-            let a = &self.stack[act_idx];
-            (a.func, a.block, a.idx)
-        };
-        let func = self.func(func_id);
-        if O::WANTS_INST {
-            obs.on_inst(self.pc_of(func_id, block, idx));
-        }
-
-        let bb = &func.blocks[block];
-        if idx < bb.insts.len() {
-            self.exec_inst(act_idx, &bb.insts[idx], (func_id, block, idx), obs);
-            if self.status == ExecStatus::Running {
-                // exec_inst may have pushed a new activation (call); only
-                // advance the original one.
-                self.stack[act_idx].idx = idx + 1;
-            }
-        } else {
-            self.exec_terminator(act_idx, &bb.term, (func_id, block, idx), obs);
-        }
-    }
-
-    fn exec_inst<O: ExecObserver>(
-        &mut self,
-        act_idx: usize,
-        inst: &Inst,
-        slot: (u32, usize, usize),
-        obs: &mut O,
-    ) {
-        match inst {
-            Inst::Const { dst, value } => {
-                let act = &mut self.stack[act_idx];
-                act.regs[dst.0 as usize] = *value;
-            }
-            Inst::BinOp { dst, op, lhs, rhs } => {
-                let act = &mut self.stack[act_idx];
-                let a = operand_of(act, *lhs);
-                let b = operand_of(act, *rhs);
-                act.regs[dst.0 as usize] = op.eval(a, b);
-            }
-            Inst::Cmp {
-                dst,
-                pred,
-                lhs,
-                rhs,
-            } => {
-                let act = &mut self.stack[act_idx];
-                let a = operand_of(act, *lhs);
-                let b = operand_of(act, *rhs);
-                act.regs[dst.0 as usize] = pred.eval(a, b) as i64;
-            }
-            Inst::Load { dst, addr } => match resolve_addr(&self.mem, &self.stack[act_idx], addr) {
-                Ok(a) => {
-                    if O::WANTS_MEM {
-                        obs.on_mem(self.pc_of(slot.0, slot.1, slot.2), a, false);
-                    }
-                    let act = &mut self.stack[act_idx];
-                    act.regs[dst.0 as usize] = self.mem.load(a);
-                }
-                Err(raw) => self.fault(format!("load from out-of-bounds address {raw}")),
-            },
-            Inst::Store { addr, src } => {
-                match resolve_addr(&self.mem, &self.stack[act_idx], addr) {
-                    Ok(a) => {
-                        let v = operand_of(&self.stack[act_idx], *src);
-                        if O::WANTS_MEM {
-                            obs.on_mem(self.pc_of(slot.0, slot.1, slot.2), a, true);
-                        }
-                        if !self.mem.store(a, v) {
-                            self.fault(format!("store fault at cell {a}"));
-                        }
-                    }
-                    Err(raw) => self.fault(format!("store to out-of-bounds address {raw}")),
-                }
-            }
-            Inst::AddrOf { dst, base, offset } => {
-                let b = self.mem.addr_of(self.stack[act_idx].frame, *base);
-                let act = &mut self.stack[act_idx];
-                let o = operand_of(act, *offset);
-                act.regs[dst.0 as usize] = (b as i64).wrapping_add(o);
-            }
-            Inst::Call { dst, callee, args } => {
-                let mut argv = std::mem::take(&mut self.arg_scratch);
-                argv.clear();
-                {
-                    let act = &self.stack[act_idx];
-                    argv.extend(args.iter().map(|a| operand_of(act, *a)));
-                }
-                match callee {
-                    Callee::Direct(fid) => {
-                        if self.stack.len() >= self.limits.max_depth {
-                            self.arg_scratch = argv;
-                            self.fault("call stack overflow");
-                            return;
-                        }
-                        // step() advances the caller's idx past the call
-                        // after we return; the new activation starts at its
-                        // entry block independently.
-                        self.enter(*fid, &argv, *dst);
-                        self.arg_scratch = argv;
-                        obs.on_call(*fid);
-                    }
-                    Callee::Builtin(b) => {
-                        let pc = if O::WANTS_MEM {
-                            self.pc_of(slot.0, slot.1, slot.2)
-                        } else {
-                            0
-                        };
-                        let result = self.exec_builtin(*b, &argv, pc, obs);
-                        self.arg_scratch = argv;
-                        if self.status != ExecStatus::Running {
-                            return;
-                        }
-                        if let (Some(d), Some(v)) = (dst, result) {
-                            self.stack[act_idx].regs[d.0 as usize] = v;
-                        }
-                    }
-                }
-            }
-            // Executable programs are post-deconstruction by contract (the
-            // structural verifier rejects phis); fault rather than guess a
-            // predecessor.
-            Inst::Phi { .. } => {
-                self.fault("phi reached the simulator (deconstruct-ssa must run first)");
-            }
-        }
-    }
-
-    fn exec_terminator<O: ExecObserver>(
-        &mut self,
-        act_idx: usize,
-        term: &Terminator,
-        slot: (u32, usize, usize),
-        obs: &mut O,
-    ) {
-        match term {
-            Terminator::Jump(t) => {
-                let act = &mut self.stack[act_idx];
-                act.block = t.index();
-                act.idx = 0;
-            }
-            Terminator::Branch {
-                cond,
-                taken,
-                not_taken,
-            } => {
-                let pc = self.pc_of(slot.0, slot.1, slot.2);
-                let act = &mut self.stack[act_idx];
-                let dir = act.regs[cond.0 as usize] != 0;
-                let target = if dir { taken } else { not_taken };
-                act.block = target.index();
-                act.idx = 0;
-                obs.on_branch(pc, dir);
-            }
-            Terminator::Return(v) => {
-                let value = v.map(|op| operand_of(&self.stack[act_idx], op));
-                let act = self.stack.pop().expect("active frame");
-                self.mem.pop_frame();
-                if self.stack.is_empty() {
-                    self.status = ExecStatus::Exited(value.unwrap_or(0));
-                    self.reg_pool.push(act.regs);
-                    return;
-                }
-                obs.on_return();
-                if let Some(dst) = act.ret_dst {
-                    let caller = self.stack.len() - 1;
-                    self.stack[caller].regs[dst.0 as usize] = value.unwrap_or(0);
-                }
-                self.reg_pool.push(act.regs);
-                // The caller's idx was already advanced past the call when
-                // the call instruction executed.
             }
         }
     }

@@ -21,10 +21,11 @@ pub fn expectation_of(status: BranchStatus) -> Expectation {
 /// what they need. The interpreter calls these in commit order.
 pub trait ExecObserver {
     /// Whether this observer consumes [`ExecObserver::on_inst`]. The
-    /// interpreter skips the per-step PC computation *and* the call for
-    /// observers that leave this `false` (the default) — an observer that
-    /// overrides `on_inst` must set it to `true` or it will never be
-    /// called from the interpreter's hot loop.
+    /// interpreter's one dispatch loop tests this constant before each
+    /// step's hook, so for observers that leave it `false` (the default)
+    /// the per-step PC computation *and* the call compile away — an
+    /// observer that overrides `on_inst` must set it to `true` or it will
+    /// never be called. Neither flag changes what executes.
     const WANTS_INST: bool = false;
     /// Whether this observer consumes [`ExecObserver::on_mem`]; same
     /// contract as [`ExecObserver::WANTS_INST`].

@@ -1,6 +1,7 @@
 //! Interpreter and attack-machinery edge cases beyond the unit tests.
 
-use ipds_sim::{ExecLimits, ExecStatus, Input, Interp, NullObserver};
+use ipds_sim::observer::Tee;
+use ipds_sim::{ExecLimits, ExecObserver, ExecStatus, Input, Interp, NullObserver};
 
 fn run(src: &str, inputs: Vec<Input>) -> (ExecStatus, Vec<i64>) {
     let p = ipds_ir::parse(src).unwrap();
@@ -161,4 +162,151 @@ fn steps_accounting_is_monotonic_and_resumable() {
     let mut j = Interp::new(&p, vec![], ExecLimits::default());
     j.run(&mut NullObserver);
     assert_eq!(i.steps(), j.steps(), "chunked and whole runs agree");
+}
+
+/// One control-flow event, as the IPDS checker consumes them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Flow {
+    Branch(u64, bool),
+    Call(u32),
+    Return,
+}
+
+/// Records the control-flow stream; wants no per-instruction or
+/// per-access hooks.
+#[derive(Debug, Default)]
+struct FlowRecorder(Vec<Flow>);
+
+impl ExecObserver for FlowRecorder {
+    fn on_branch(&mut self, pc: u64, dir: bool) {
+        self.0.push(Flow::Branch(pc, dir));
+    }
+    fn on_call(&mut self, func: ipds_ir::FuncId) {
+        self.0.push(Flow::Call(func.0));
+    }
+    fn on_return(&mut self) {
+        self.0.push(Flow::Return);
+    }
+}
+
+/// Turns every capability flag on and counts the hooks it gets.
+#[derive(Debug, Default)]
+struct AllHooks {
+    insts: u64,
+    mems: u64,
+}
+
+impl ExecObserver for AllHooks {
+    const WANTS_INST: bool = true;
+    const WANTS_MEM: bool = true;
+    const WANTS_BUILTIN_READS: bool = true;
+
+    fn on_inst(&mut self, _pc: u64) {
+        self.insts += 1;
+    }
+    fn on_mem(&mut self, _pc: u64, _addr: usize, _store: bool) {
+        self.mems += 1;
+    }
+}
+
+/// Everything a run leaves behind: flow events, status, steps, output
+/// and every memory cell.
+type RunResult = (Vec<Flow>, ExecStatus, u64, Vec<i64>, Vec<i64>);
+
+fn finish(i: &Interp<'_>, flow: FlowRecorder) -> RunResult {
+    let cells = (0..i.mem.len()).map(|a| i.mem.load(a)).collect();
+    (
+        flow.0,
+        i.status().clone(),
+        i.steps(),
+        i.output().to_vec(),
+        cells,
+    )
+}
+
+/// Runs `i` to the end in `chunk`-step slices; each slice runs exactly
+/// `chunk` steps unless the run ends inside it.
+fn run_chunked<O: ExecObserver>(i: &mut Interp<'_>, chunk: u64, obs: &mut O) {
+    while i.status() == &ExecStatus::Running {
+        let before = i.steps();
+        i.run_steps(chunk, obs);
+        assert!(
+            i.steps() == before + chunk || i.status() != &ExecStatus::Running,
+            "a {chunk}-step slice ran {} steps",
+            i.steps() - before
+        );
+    }
+}
+
+/// Runs `p` in `chunk`-step slices with the flags off, then again with
+/// them on, and checks both against `reference`.
+fn check_flags_do_not_change_execution(
+    name: &str,
+    p: &ipds_ir::Program,
+    inputs: &[Input],
+    limits: ExecLimits,
+    chunk: u64,
+    reference: &RunResult,
+) {
+    let mut i = Interp::new(p, inputs.to_vec(), limits);
+    let mut flow = FlowRecorder::default();
+    run_chunked(&mut i, chunk, &mut flow);
+    let off = finish(&i, flow);
+    assert_eq!(&off, reference, "{name}: flags off, chunk {chunk}");
+
+    let mut i = Interp::new(p, inputs.to_vec(), limits);
+    let mut flow = FlowRecorder::default();
+    let mut hooks = AllHooks::default();
+    run_chunked(&mut i, chunk, &mut Tee::new(&mut flow, &mut hooks));
+    let on = finish(&i, flow);
+    assert_eq!(&on, reference, "{name}: flags on, chunk {chunk}");
+    // `on_inst` fires once per counted step, after the budget check: the
+    // step that overruns the budget is counted but never executes.
+    let overrun = u64::from(on.1 == ExecStatus::OutOfBudget);
+    assert_eq!(hooks.insts, on.2 - overrun, "{name}: on_inst per step");
+    assert!(hooks.mems > 0, "{name}: memory hooks fire");
+}
+
+#[test]
+fn observer_flags_do_not_change_execution() {
+    use ipds_workloads::generator::{generate_program, GenConfig};
+
+    let mut cases: Vec<(String, ipds_ir::Program, Vec<Input>)> = ipds_workloads::extended()
+        .iter()
+        .map(|w| (w.name.to_string(), w.program(), w.inputs(7)))
+        .collect();
+    for seed in 0..8u64 {
+        let src = generate_program(seed, GenConfig::default());
+        let inputs = (0..48).map(|k| Input::Int((seed as i64 * 13 + k) % 41 - 20));
+        cases.push((
+            format!("gen[{seed}]"),
+            ipds_ir::parse(&src).unwrap(),
+            inputs.collect(),
+        ));
+    }
+    for (idx, (name, p, inputs)) in cases.iter().enumerate() {
+        let mut limits = ExecLimits::default();
+        let mut i = Interp::new(p, inputs.clone(), limits);
+        let mut flow = FlowRecorder::default();
+        i.run(&mut flow);
+        let mut reference = finish(&i, flow);
+        assert!(
+            matches!(reference.1, ExecStatus::Exited(_)),
+            "{name}: {:?}",
+            reference.1
+        );
+        if idx == 0 {
+            // Exhaust the budget halfway through the run instead.
+            limits.max_steps = reference.2 / 2;
+            let mut i = Interp::new(p, inputs.clone(), limits);
+            let mut flow = FlowRecorder::default();
+            i.run(&mut flow);
+            reference = finish(&i, flow);
+            assert_eq!(reference.1, ExecStatus::OutOfBudget, "{name}");
+            assert_eq!(reference.2, limits.max_steps + 1, "{name}");
+        }
+        for chunk in [1, 7, 64] {
+            check_flags_do_not_change_execution(name, p, inputs, limits, chunk, &reference);
+        }
+    }
 }

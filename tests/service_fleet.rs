@@ -143,6 +143,64 @@ fn malformed_stream_opens_protocol_violation() {
 }
 
 #[test]
+fn hostile_streams_open_protocol_violations_without_panicking() {
+    let w = &ipds::workloads::all()[0];
+    let (_cache, artifact, _image) = cached_artifact(w);
+    let main = Protected::compile(w).unwrap().program.main().unwrap().id;
+    let functions = artifact.analysis.functions.len() as u32;
+    let mut service = Service::start(vec![artifact], 2);
+    let hostile = [
+        // A branch before any call: no active frame.
+        vec![GuestEvent::Branch {
+            pc: 0x40,
+            taken: true,
+        }],
+        // A branch at a PC `main` does not own.
+        vec![
+            GuestEvent::Call(main),
+            GuestEvent::Branch {
+                pc: u64::MAX,
+                taken: false,
+            },
+        ],
+        // A call to a function the image does not define.
+        vec![GuestEvent::Call(ipds::ir::FuncId(functions))],
+    ];
+    for (session, events) in hostile.into_iter().enumerate() {
+        service.open(session as u64, w.name).unwrap();
+        service.submit(session as u64, events).unwrap();
+        service.close(session as u64).unwrap();
+    }
+    // A well-formed session sharing a worker with a hostile one.
+    service.open(3, w.name).unwrap();
+    service
+        .submit(3, vec![GuestEvent::Call(main), GuestEvent::Return])
+        .unwrap();
+    service.close(3).unwrap();
+
+    let report = service.finish();
+    assert_eq!(report.sessions.len(), 4);
+    for (session, seq) in [(0, 0), (1, 1), (2, 0)] {
+        let incidents = &report.sessions[session].incidents;
+        assert_eq!(incidents.len(), 1, "session {session}: {incidents:?}");
+        assert_eq!(incidents[0].kind, IncidentKind::ProtocolViolation);
+        assert_eq!(incidents[0].seq, seq, "session {session}");
+    }
+    let healthy = &report.sessions[3];
+    assert!(healthy.closed && healthy.incidents.is_empty());
+    assert_eq!(healthy.stats.calls, 1);
+    assert_eq!(
+        report.root_causes,
+        (0..3)
+            .map(|session| RootCause::IsolatedNoise {
+                workload: w.name.to_string(),
+                session,
+            })
+            .collect::<Vec<_>>()
+    );
+}
+
+#[test]
 fn correlation_rules_are_deterministic() {
     let inc = |session: u64, workload: &str, kind| Incident {
         session,
