@@ -168,12 +168,16 @@ fn main() {
             s.threads, s.attacks, s.seconds, s.attacks_per_sec, s.speedup
         );
     }
-    let overhead = null_sink_overhead(if quick { 60 } else { 300 }, if quick { 3 } else { 5 });
+    let overhead = null_sink_overhead(if quick { 60 } else { 300 }, if quick { 5 } else { 21 });
     // Wall-clock-dependent, so stderr: stdout stays byte-identical run-to-run.
     eprintln!(
-        "NullSink telemetry overhead: {:+.2}% \
-         (bare engine {:.0} attacks/s, instrumented {:.0} attacks/s)",
-        overhead.percent, overhead.bare_aps, overhead.instrumented_aps
+        "NullSink telemetry overhead: {:+.2}% (paired median, range {:+.2}% to {:+.2}%; \
+         bare engine {:.0} attacks/s, instrumented {:.0} attacks/s)",
+        overhead.percent,
+        overhead.percent_min,
+        overhead.percent_max,
+        overhead.bare_aps,
+        overhead.instrumented_aps
     );
     let counters = campaign_counters(attacks.min(50));
     let compiles = compile_reports();
@@ -309,12 +313,18 @@ fn scaling_sweep(attacks: u32, default_threads: usize, quick: bool) -> Vec<Scali
 /// The telemetry zero-cost claim, measured: attacks/sec of a bare serial
 /// loop (the pre-telemetry shape: runner + RNG + fold, no sink anywhere in
 /// sight) vs the campaign engine at one thread carrying a [`NULL_SINK`].
-/// Best-of-`reps` to shed scheduler noise.
+/// The two alternate within each of `reps` repetitions; the rates are
+/// best-of-`reps`, the slowdown is taken per repetition from that pair.
 struct Overhead {
     bare_aps: f64,
     instrumented_aps: f64,
-    /// Instrumented slowdown in percent (negative = faster).
+    /// Median over repetitions of the paired instrumented slowdown, in
+    /// percent (negative = faster). Pairing cancels the host-speed drift
+    /// that two separate best-of minima pick up.
     percent: f64,
+    /// Smallest and largest paired slowdown, in percent: the noise band.
+    percent_min: f64,
+    percent_max: f64,
 }
 
 fn null_sink_overhead(attacks: u32, reps: u32) -> Overhead {
@@ -330,13 +340,11 @@ fn null_sink_overhead(attacks: u32, reps: u32) -> Overhead {
         limits: art.limits,
     };
 
-    let mut bare_best = f64::INFINITY;
-    let mut instr_best = f64::INFINITY;
-    for _ in 0..reps {
-        // Bare loop: the engine shape with no sink anywhere — including
-        // the golden-snapshot capture the engine performs per call, so the
-        // probe isolates telemetry cost rather than the warm-start win
-        // (docs/PERF.md describes both).
+    // Bare loop: the engine shape with no sink anywhere — including the
+    // golden-snapshot capture the engine performs per call, so the probe
+    // isolates telemetry cost rather than the warm-start win (docs/PERF.md
+    // describes both).
+    let bare = || {
         let start = Instant::now();
         let warm = ipds_sim::WarmStart::capture(
             &art.protected.program,
@@ -359,12 +367,12 @@ fn null_sink_overhead(attacks: u32, reps: u32) -> Overhead {
                 runner.run(trigger, campaign.model, &mut rng)
             })
             .collect();
-        let bare_result = aggregate(attacks, &outcomes);
-        bare_best = bare_best.min(start.elapsed().as_secs_f64());
-
-        // The engine with a NullSink: must compile down to the same.
+        (aggregate(attacks, &outcomes), start.elapsed().as_secs_f64())
+    };
+    // The engine with a NullSink: must compile down to the same.
+    let engine = || {
         let start = Instant::now();
-        let (instr_result, _) = ipds_sim::run_campaign(
+        let (result, _) = ipds_sim::run_campaign(
             &art.protected.program,
             &art.protected.analysis,
             &art.inputs,
@@ -374,16 +382,37 @@ fn null_sink_overhead(attacks: u32, reps: u32) -> Overhead {
             &NULL_SINK,
             None,
         );
-        instr_best = instr_best.min(start.elapsed().as_secs_f64());
+        (result, start.elapsed().as_secs_f64())
+    };
+
+    let mut bare_best = f64::INFINITY;
+    let mut instr_best = f64::INFINITY;
+    let mut paired = Vec::new();
+    for rep in 0..reps.max(1) {
+        // Alternate which side runs first, so neither always inherits the
+        // other's warm caches.
+        let ((bare_result, bare_s), (instr_result, instr_s)) = if rep % 2 == 0 {
+            let b = bare();
+            (b, engine())
+        } else {
+            let e = engine();
+            (bare(), e)
+        };
         assert_eq!(
             bare_result, instr_result,
             "NullSink engine must be byte-identical to the bare loop"
         );
+        bare_best = bare_best.min(bare_s);
+        instr_best = instr_best.min(instr_s);
+        paired.push(100.0 * (instr_s / bare_s - 1.0));
     }
+    paired.sort_by(f64::total_cmp);
     Overhead {
         bare_aps: f64::from(attacks) / bare_best,
         instrumented_aps: f64::from(attacks) / instr_best,
-        percent: 100.0 * (instr_best / bare_best - 1.0),
+        percent: paired[paired.len() / 2],
+        percent_min: paired[0],
+        percent_max: paired[paired.len() - 1],
     }
 }
 
@@ -742,8 +771,16 @@ fn write_bench_json(
         overhead.instrumented_aps
     ));
     json.push_str(&format!(
-        "      \"overhead_percent\": {:.3}\n",
+        "      \"overhead_percent\": {:.3},\n",
         overhead.percent
+    ));
+    json.push_str(&format!(
+        "      \"overhead_percent_min\": {:.3},\n",
+        overhead.percent_min
+    ));
+    json.push_str(&format!(
+        "      \"overhead_percent_max\": {:.3}\n",
+        overhead.percent_max
     ));
     json.push_str("    },\n");
     json.push_str("    \"campaign_counters\": {\n");

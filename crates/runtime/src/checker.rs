@@ -149,9 +149,13 @@ impl FuncTables {
     fn build(fa: &FunctionAnalysis) -> FuncTables {
         let space = fa.hash.space() as usize;
         let mut slot_of_hash = vec![NO_BRANCH; space];
+        // The compiler's hashes are collision-free (asserted where they are
+        // built). Tables loaded from an image whose checksum was restamped
+        // after corruption need not be: there the later branch takes the
+        // slot and the earlier one resolves as a foreign PC, a probe miss
+        // for `on_branch_lenient`.
         for (i, b) in fa.branches.iter().enumerate() {
             let h = fa.hash.slot(b.pc) as usize;
-            debug_assert_eq!(slot_of_hash[h], NO_BRANCH, "perfect hash collision");
             slot_of_hash[h] = i as u32;
         }
         let n = fa.branches.len();
@@ -507,6 +511,19 @@ impl<'a> IpdsChecker<'a> {
         self.alarms.clone_from(&snap.alarms);
     }
 
+    /// True if the live frame stack (each frame's function and BSV words)
+    /// equals the one `snap` captured. Statistics and alarms are not
+    /// compared. The fault engine uses this to see that a faulted run's
+    /// checker has rejoined the clean run's.
+    pub fn frames_eq(&self, snap: &CheckerSnapshot) -> bool {
+        self.stack.len() == snap.frames.len()
+            && self
+                .stack
+                .iter()
+                .zip(&snap.frames)
+                .all(|(f, (func, bsv))| f.func == *func && f.bsv == *bsv)
+    }
+
     /// All alarms raised so far.
     pub fn alarms(&self) -> &[Alarm] {
         &self.alarms
@@ -779,6 +796,45 @@ mod tests {
         ipds.on_return().unwrap();
         assert!(!ipds.on_branch(mpcs[1], true).alarm);
         assert!(!ipds.detected());
+    }
+
+    #[test]
+    fn frames_eq_compares_functions_and_bsv_words_only() {
+        let (_, a) = setup(
+            "fn inner(int v) -> int { if (v == 1) { return 1; } return 0; } \
+             fn main() -> int { int x; x = read_int(); \
+             if (x == 1) { print_int(1); } \
+             inner(0); \
+             if (x == 1) { print_int(2); } return 0; }",
+        );
+        let main = a.functions.iter().find(|f| f.name == "main").unwrap();
+        let inner = a.functions.iter().find(|f| f.name == "inner").unwrap();
+        let mpcs: Vec<u64> = main.branches.iter().map(|b| b.pc).collect();
+
+        let mut ipds = IpdsChecker::new(&a);
+        ipds.on_call(main.func);
+        let snap = ipds.snapshot();
+        assert!(ipds.frames_eq(&snap));
+
+        // A BSV word changes: unequal until the slot is put back.
+        let old = ipds.inject_bsv(0, BranchStatus::Taken).unwrap();
+        assert!(!ipds.frames_eq(&snap));
+        ipds.inject_bsv(0, old);
+        assert!(ipds.frames_eq(&snap));
+
+        // An extra frame: unequal until it returns.
+        ipds.on_call(inner.func);
+        assert!(!ipds.frames_eq(&snap));
+        ipds.on_return().unwrap();
+        assert!(ipds.frames_eq(&snap));
+
+        // Statistics are not part of the comparison: the call above was
+        // counted.
+        assert_ne!(ipds.stats(), &snap.stats);
+
+        // A branch whose BAT row rewrites a slot makes the frames unequal.
+        ipds.on_branch(mpcs[0], true);
+        assert!(!ipds.frames_eq(&snap));
     }
 
     #[test]

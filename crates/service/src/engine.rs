@@ -184,11 +184,13 @@ impl Service {
     /// rejected image never produced an artifact — so the refusal is also
     /// recorded as an [`IncidentKind::ImageTamper`] incident for the
     /// correlation stage.
+    ///
+    /// [`ServiceError::SessionAlreadyOpen`] if `session` is open already;
+    /// the open session is left as it was.
     pub fn open(&mut self, session: u64, workload: &str) -> Result<(), ServiceError> {
-        debug_assert!(
-            !self.open.contains(&session),
-            "session {session} already open"
-        );
+        if self.open.contains(&session) {
+            return Err(ServiceError::SessionAlreadyOpen { session });
+        }
         let Some(&idx) = self.names.get(workload) else {
             self.rejected.push((session, workload.to_string()));
             return Err(ServiceError::UnknownWorkload {

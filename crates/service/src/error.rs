@@ -28,6 +28,12 @@ pub enum ServiceError {
         /// The offending session id.
         session: u64,
     },
+    /// An open named a session id that is already open. The open session
+    /// keeps running; the second open changes nothing.
+    SessionAlreadyOpen {
+        /// The offending session id.
+        session: u64,
+    },
 }
 
 impl fmt::Display for ServiceError {
@@ -41,6 +47,9 @@ impl fmt::Display for ServiceError {
             }
             ServiceError::UnknownSession { session } => {
                 write!(f, "session {session} is not open")
+            }
+            ServiceError::SessionAlreadyOpen { session } => {
+                write!(f, "session {session} is already open")
             }
         }
     }

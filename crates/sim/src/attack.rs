@@ -145,8 +145,11 @@ impl GoldenRun {
 /// one golden run. Every attack's pre-trigger phase re-executes a prefix of
 /// exactly that run, so a campaign captures one `WarmStart` and each attack
 /// restores the nearest snapshot at-or-before its trigger step — a few
-/// memcpys — instead of re-interpreting the whole prefix. Snapshots are
-/// immutable after capture and shared by reference across worker threads.
+/// memcpys — instead of re-interpreting the whole prefix. The fault engine
+/// does the same for its live faults (see
+/// [`FaultRunner::with_warm_start`](crate::FaultRunner::with_warm_start)).
+/// Snapshots are immutable after capture and shared by reference across
+/// worker threads.
 ///
 /// Warm starts are transparent to campaign *results*: restoring a snapshot
 /// and replaying the remaining steps commits the same state, branch trace
@@ -163,28 +166,28 @@ pub struct WarmStart {
     /// count).
     final_steps: u64,
     /// How the clean run terminated.
-    final_status: ExecStatus,
+    pub(crate) final_status: ExecStatus,
     /// True if the clean run raised no checker alarm — the precondition for
     /// reconvergence fast-forwarding (a clean suffix implies an alarm-free
     /// suffix). Always true in practice: the checker is zero-false-positive
     /// on benign traces.
-    clean: bool,
+    pub(crate) clean: bool,
 }
 
 #[derive(Debug)]
-struct WarmSnap {
+pub(crate) struct WarmSnap {
     /// Interpreter steps executed at capture time.
-    steps: u64,
+    pub(crate) steps: u64,
     /// Golden branches committed at capture time (the trace-diff offset).
     trace_len: usize,
-    interp: InterpSnapshot,
-    checker: CheckerSnapshot,
+    pub(crate) interp: InterpSnapshot,
+    pub(crate) checker: CheckerSnapshot,
     /// Bitmask over cell addresses: every cell the golden run reads from
     /// this snapshot to the end of the run (instruction loads and builtin
     /// string/copy reads). Reconvergence only requires memory equality on
     /// these cells — a tampered value the remaining run never looks at
     /// cannot change its behaviour.
-    suffix_reads: Vec<u64>,
+    pub(crate) suffix_reads: Vec<u64>,
 }
 
 /// Observer recording every cell address read by execution (instruction
@@ -293,13 +296,13 @@ impl WarmStart {
 
     /// The snapshot with the greatest step count ≤ `trigger_step`. Always
     /// exists: capture starts with a step-0 snapshot.
-    fn nearest(&self, trigger_step: u64) -> &WarmSnap {
+    pub(crate) fn nearest(&self, trigger_step: u64) -> &WarmSnap {
         let i = self.snaps.partition_point(|s| s.steps <= trigger_step);
         &self.snaps[i - 1]
     }
 
     /// The first snapshot strictly after `steps`, if any.
-    fn next_after(&self, steps: u64) -> Option<&WarmSnap> {
+    pub(crate) fn next_after(&self, steps: u64) -> Option<&WarmSnap> {
         self.snaps
             .get(self.snaps.partition_point(|s| s.steps <= steps))
     }

@@ -32,7 +32,7 @@ use ipds_ir::Program;
 use ipds_runtime::{IpdsChecker, RuntimeError};
 use ipds_telemetry::MetricsRegistry;
 
-use crate::attack::GoldenRun;
+use crate::attack::{GoldenRun, WarmStart};
 use crate::interp::{ExecLimits, ExecStatus, Input, Interp};
 use crate::observer::{ExecObserver, IpdsObserver};
 use crate::rng::StdRng;
@@ -313,7 +313,8 @@ fn trigger_in_run(rng: &mut StdRng, golden_steps: u64) -> u64 {
 /// Reusable fault executor: one interpreter arena plus one checker, recycled
 /// across every live-state fault it runs. Each worker of
 /// [`run_fault_campaign`] owns one `FaultRunner`; the borrowed program,
-/// analysis, image and inputs are shared by all of them.
+/// analysis, image, inputs and optional [`WarmStart`] (see
+/// [`FaultRunner::with_warm_start`]) are shared by all of them.
 #[derive(Debug)]
 pub struct FaultRunner<'a> {
     analysis: &'a ProgramAnalysis,
@@ -322,6 +323,7 @@ pub struct FaultRunner<'a> {
     main: ipds_ir::FuncId,
     interp: Interp<'a>,
     ipds: IpdsObserver<'a>,
+    warm: Option<&'a WarmStart>,
 }
 
 /// Drives a checker built over *corrupted* tables leniently: probe misses
@@ -363,7 +365,33 @@ impl<'a> FaultRunner<'a> {
             main: program.main().expect("program must define `main`").id,
             interp: Interp::new(program, inputs.to_vec(), limits),
             ipds: IpdsObserver::new(IpdsChecker::new(analysis)),
+            warm: None,
         }
+    }
+
+    /// Attaches golden-run snapshots, captured by [`WarmStart::capture`]
+    /// over the same program, analysis, inputs and limits. A live fault
+    /// then restores the snapshot nearest at-or-before its trigger step
+    /// and replays only the remaining steps. After the injection it runs
+    /// from one snapshot boundary to the next and stops at the first
+    /// boundary where the faulted run has rejoined the clean one:
+    ///
+    /// * the checker's frame stack (functions and BSV words) equals the
+    ///   snapshot's,
+    /// * the interpreter state equals the snapshot's on everything the
+    ///   rest of the clean run can observe, and
+    /// * no frame-stack underflow was counted (its latency reads the
+    ///   final branch count).
+    ///
+    /// From such a point the rest of the run is the clean run's tail: no
+    /// alarm (the skip is only taken when the clean run raised none) and
+    /// the clean run's terminal status. Outcomes, latencies included, are
+    /// the same as without a warm start. Image faults ignore the
+    /// snapshots: with the checksum off they run over corrupted tables,
+    /// whose BSV layouts the snapshots do not share.
+    pub fn with_warm_start(mut self, warm: &'a WarmStart) -> Self {
+        self.warm = Some(warm);
+        self
     }
 
     /// Executes one planned fault and grades its outcome.
@@ -437,10 +465,21 @@ impl<'a> FaultRunner<'a> {
     /// Runs to the trigger step, injects into live checker/memory state,
     /// and grades how the rest of the run ends.
     fn run_live_fault(&mut self, plan: &FaultPlan) -> FaultOutcome {
-        self.interp.reset(self.inputs.iter().cloned());
-        self.ipds.checker.reset();
-        self.ipds.checker.on_call(self.main);
-        self.interp.run_steps(plan.trigger_step, &mut self.ipds);
+        if let Some(warm) = self.warm {
+            // The snapshots were captured through this same observer, so
+            // the restored state (statistics and alarms included) is what
+            // the cold prefix below would have built.
+            let snap = warm.nearest(plan.trigger_step);
+            self.interp.restore(&snap.interp);
+            self.ipds.checker.restore(&snap.checker);
+            self.interp
+                .run_steps(plan.trigger_step - snap.steps, &mut self.ipds);
+        } else {
+            self.interp.reset(self.inputs.iter().cloned());
+            self.ipds.checker.reset();
+            self.ipds.checker.on_call(self.main);
+            self.interp.run_steps(plan.trigger_step, &mut self.ipds);
+        }
 
         let branches_at_injection = self.ipds.checker.stats().branches;
         let running = self.interp.status() == &ExecStatus::Running;
@@ -477,12 +516,42 @@ impl<'a> FaultRunner<'a> {
                 FaultMutation::ImageBits(_) => unreachable!("dispatched in run()"),
             };
 
-        let status = self.interp.run(&mut self.ipds);
         if !injected {
-            // No live target at the trigger instant: the fault missed.
+            // No live target at the trigger instant: the fault missed, and
+            // the rest of the run is the clean one.
             return FaultOutcome::Masked;
         }
+        let status = self.run_tail();
         grade_run(&self.ipds.checker, branches_at_injection, false, status)
+    }
+
+    /// Runs a faulted live run to its end under checking. With a clean
+    /// warm start the run pauses at each snapshot boundary and ends early,
+    /// with the clean run's status, once it has rejoined the clean run
+    /// (the predicate on [`FaultRunner::with_warm_start`]). Unlike the
+    /// attack engine there is no golden-trace check: a BSV fault leaves
+    /// the trace golden but the checker changed, so the checker frames
+    /// are compared directly.
+    fn run_tail(&mut self) -> ExecStatus {
+        let Some(warm) = self.warm.filter(|w| w.clean) else {
+            return self.interp.run(&mut self.ipds);
+        };
+        while let Some(snap) = warm.next_after(self.interp.steps()) {
+            self.interp
+                .run_steps(snap.steps - self.interp.steps(), &mut self.ipds);
+            if *self.interp.status() != ExecStatus::Running {
+                return self.interp.status().clone();
+            }
+            if self.ipds.checker.stats().underflows == 0
+                && self.ipds.checker.frames_eq(&snap.checker)
+                && self
+                    .interp
+                    .state_eq_masked(&snap.interp, &snap.suffix_reads)
+            {
+                return warm.final_status.clone();
+            }
+        }
+        self.interp.run(&mut self.ipds)
     }
 }
 
@@ -616,7 +685,15 @@ pub fn aggregate_faults(
 
 /// Runs a fault campaign against a precomputed golden run, sharded over
 /// `threads` workers of the persistent pool (`0`/`1` runs inline on the
-/// caller's thread). Results — including the latency vector and the merged
+/// caller's thread).
+///
+/// When the campaign has more than one live (checker-state or memory)
+/// fault, it captures one [`WarmStart`] and shares it with every worker's
+/// [`FaultRunner`], so live faults restore a golden snapshot instead of
+/// replaying the clean prefix and skip the tail once they have rejoined
+/// the clean run. Outcomes are the same as a cold run's.
+///
+/// Results — including the latency vector and the merged
 /// metrics — are bit-identical for every thread count: faults are
 /// independently seeded and outcomes fold in index order. The one exception
 /// is the pool's chunk-accounting telemetry (`pool.chunks_claimed`,
@@ -642,10 +719,23 @@ pub fn run_fault_campaign(
         "golden run must not fault: {:?}",
         golden.status
     );
+    // One golden-snapshot set shared by every worker, as in `run_campaign`;
+    // skipped when at most one live fault (`flips` checker-state plus
+    // `flips` memory faults) would use it, since capture costs about one
+    // clean run.
+    let live_faults = 2 * u64::from(campaign.flips);
+    let warm = (live_faults > 1)
+        .then(|| WarmStart::capture(program, analysis, inputs, golden.steps, campaign.limits));
     let (outcomes, _, mut metrics) = crate::shard(
         campaign.total(),
         threads,
-        || FaultRunner::new(program, analysis, image, inputs, campaign.limits),
+        || {
+            let runner = FaultRunner::new(program, analysis, image, inputs, campaign.limits);
+            match &warm {
+                Some(warm) => runner.with_warm_start(warm),
+                None => runner,
+            }
+        },
         |runner, metrics, i| {
             let plan = fault_plan(campaign, golden.steps, i);
             let outcome = runner.run(campaign, &plan);

@@ -30,7 +30,11 @@
 //! worker) and fold the outcomes in seed order, so results are
 //! bit-identical at every thread count; `threads <= 1` and small batches
 //! run inline on the caller's thread. Both return their merged
-//! [`MetricsRegistry`]. The attack engine also threads an [`EventSink`]
+//! [`MetricsRegistry`]. Both also warm-start from one [`WarmStart`] per
+//! campaign: an attack or a live fault restores the golden snapshot
+//! nearest its trigger instead of replaying the clean prefix, and skips
+//! the tail once its run has rejoined the clean run, with outcomes equal
+//! to a cold run's. The attack engine also threads an [`EventSink`]
 //! (re-exported from [`ipds-telemetry`](ipds_telemetry)) through the hot
 //! path; with [`NullSink`] the hooks monomorphize away and the
 //! uninstrumented behaviour — and performance — is preserved bit-for-bit.
